@@ -23,7 +23,7 @@ import numpy as np
 
 from .analysis import NetworkParams, bounds_report, min_range_for_isolation
 from .mobility import Fleet, MobilityConfig, trajectory_rows
-from .routing import PathWeight, route_dijkstra, route_greedy, execute_path, SessionOutcome, SessionStatus
+from .routing import PathWeight
 from .simharness import (
     DEFAULT_NODE_SWEEP,
     DEFAULT_SPEED_SWEEP,
@@ -36,6 +36,7 @@ from .simharness import (
     figure5_dataset,
     figure6_dataset,
     record_trace,
+    _route_session,
 )
 
 OUTPUT_DIR_ENV = "FANETSIM_OUTDIR"
@@ -262,33 +263,11 @@ def _cmd_route(args) -> int:
 
     fleet = Fleet(cfg.mobility, cfg.net.n_nodes, cfg.seed)
     trace = record_trace(fleet, cfg.net.comm_range, max_hops)
-    snap0 = trace.snapshots[0]
     rng = np.random.default_rng(cfg.seed)
     source, dest = (int(x) for x in rng.choice(cfg.net.n_nodes, 2, replace=False))
 
     algorithm = Algorithm(args.algorithm)
-    cursor = trace.cursor()
-    if algorithm is Algorithm.DIJKSTRA_STATIC:
-        path = route_dijkstra(snap0, source, dest, cfg.dijkstra_weight)
-        if path is None:
-            out = SessionOutcome(
-                source,
-                dest,
-                snap0.distance(source, dest),
-                (),
-                SessionStatus.STUCK_NO_PROGRESS,
-            )
-        else:
-            out = execute_path(cursor, path)
-    else:
-        out = route_greedy(
-            cursor,
-            source,
-            dest,
-            predictive=algorithm is Algorithm.GREEDY_PREDICTIVE,
-            max_hops=max_hops,
-            refresh_destination=cfg.refresh_destination,
-        )
+    out = _route_session(algorithm, trace, source, dest, cfg)
 
     print(
         f"session: source={out.source} dest={out.destination} "

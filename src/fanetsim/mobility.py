@@ -179,19 +179,19 @@ def _fold(v: float, side: float) -> tuple[float, bool]:
     return v, flipped
 
 
-def _displace(state: NodeState, dt: float) -> tuple[float, float, MobilityParams]:
-    """Raw kinematic displacement over dt, before boundary handling."""
+def _displace(state: NodeState, dt: float) -> tuple[float, float, float]:
+    """Raw (x, y, orbit phase) after dt, before boundary handling."""
     p = state.params
     if state.mode is MobilityMode.LINEAR:
         return (
             state.x + p.speed * dt * math.cos(p.heading),
             state.y + p.speed * dt * math.sin(p.heading),
-            p,
+            p.phase,
         )
     new_phase = p.phase + p.angular_speed * dt
     x = state.x + p.turn_radius * (math.cos(new_phase) - math.cos(p.phase))
     y = state.y + p.turn_radius * (math.sin(new_phase) - math.sin(p.phase))
-    return x, y, replace(p, phase=new_phase % _TWO_PI)
+    return x, y, new_phase
 
 
 def step(
@@ -205,27 +205,30 @@ def step(
     a Markov renewal once the time in the current state reaches its sojourn.
     """
     dt = cfg.time_step
-    x, y, params = _displace(state, dt)
+    x, y, phase = _displace(state, dt)
     x, flip_x = _fold(x, cfg.area_side)
     y, flip_y = _fold(y, cfg.area_side)
-    if flip_x or flip_y:
-        if state.mode is MobilityMode.LINEAR:
+    params = state.params
+    if state.mode is MobilityMode.LINEAR:
+        if flip_x or flip_y:
             heading = params.heading
             if flip_x:
                 heading = math.pi - heading
             if flip_y:
                 heading = -heading
             params = replace(params, heading=heading % _TWO_PI)
-        else:
-            phase = params.phase
-            omega = params.angular_speed
-            if flip_x:
-                phase = math.pi - phase
-                omega = -omega
-            if flip_y:
-                phase = -phase
-                omega = -omega
-            params = replace(params, phase=phase % _TWO_PI, angular_speed=omega)
+    else:
+        phase %= _TWO_PI
+        omega = params.angular_speed
+        if flip_x:
+            phase = math.pi - phase
+            omega = -omega
+        if flip_y:
+            phase = -phase
+            omega = -omega
+        if flip_x or flip_y:
+            phase %= _TWO_PI
+        params = replace(params, phase=phase, angular_speed=omega)
 
     time_in_state = state.time_in_state + dt
     mode = state.mode

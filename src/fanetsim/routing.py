@@ -42,6 +42,7 @@ class SessionStatus(Enum):
     DELIVERED = "delivered"
     STUCK_NO_PROGRESS = "stuck_no_progress"
     LINK_BROKEN = "link_broken"
+    HOP_CAP = "hop_cap"  # greedy forwarding used up max_hops
 
 
 class PathWeight(Enum):
@@ -150,7 +151,7 @@ def route_greedy(
 
     hops: list[HopRecord] = []
     current = source
-    status = SessionStatus.STUCK_NO_PROGRESS  # hop-cap expiry default
+    status = SessionStatus.HOP_CAP  # unless the loop breaks out early
     for _ in range(max_hops):
         decision_snap = sim.snapshot() if predictive else snap0
         nxt = greedy_next_hop(

@@ -11,8 +11,9 @@ attached at each cell's empirical mean source-destination distance over
 Reproducibility: every random stream derives from
 (seed, sweep_index, run_index), and aggregation is an ordered reduction,
 so results are bitwise identical across repeat invocations and across
-worker counts.  Within one run, all algorithms replay the same recorded
-mobility trace, which makes the comparison paired.
+worker counts.  Within one run, all algorithms replay the same mobility
+trace, which makes the comparison paired; the trace steps the fleet only
+as far as the furthest session reads (see ``record_trace``).
 
 Metric conventions per cell and algorithm:
 
@@ -224,20 +225,11 @@ def _fmt(v) -> str:
 
 
 def record_trace(fleet: Fleet, comm_range: float, n_steps: int) -> NetworkTrace:
-    """Advance a fleet n_steps times, snapshotting before every step."""
-    snaps = []
-    for k in range(n_steps + 1):
-        snaps.append(
-            ContactSnapshot(
-                time=fleet.time,
-                true_positions=fleet.true_positions(),
-                predicted_positions=fleet.predicted_positions(),
-                comm_range=comm_range,
-            )
-        )
-        if k < n_steps:
-            fleet.advance()
-    return NetworkTrace(tuple(snaps))
+    """Trace of n_steps steps from the fleet's current state.  The trace
+    owns the fleet and steps it only when a cursor first reads a step."""
+    return NetworkTrace(
+        (ContactSnapshot.of_fleet(fleet, comm_range),), fleet, n_steps
+    )
 
 
 def _cell_params(
@@ -296,8 +288,8 @@ def _route_session(
     source: int,
     dest: int,
     cfg: ExperimentConfig,
-    max_hops: int,
 ) -> SessionOutcome:
+    """Route one session; its hop budget is the trace's length."""
     cursor = trace.cursor()
     if alg is Algorithm.GREEDY_PREDICTIVE:
         return route_greedy(
@@ -305,12 +297,12 @@ def _route_session(
             source,
             dest,
             predictive=True,
-            max_hops=max_hops,
+            max_hops=trace.n_steps,
             refresh_destination=cfg.refresh_destination,
         )
     if alg is Algorithm.GREEDY_STATIC:
         return route_greedy(
-            cursor, source, dest, predictive=False, max_hops=max_hops
+            cursor, source, dest, predictive=False, max_hops=trace.n_steps
         )
     snap0 = cursor.snapshot()
     path = route_dijkstra(snap0, source, dest, cfg.dijkstra_weight)
@@ -326,7 +318,7 @@ def _route_session(
 
 
 def _run_one(cfg: ExperimentConfig, sweep_idx: int, run_idx: int) -> dict:
-    """One deployment: record a trace, route every session with every
+    """One deployment: start a trace, route every session with every
     algorithm, return plain-dict tallies (picklable for worker pools)."""
     value = cfg.sweep.values[sweep_idx]
     net, mobility = _cell_params(cfg, value)
@@ -340,7 +332,7 @@ def _run_one(cfg: ExperimentConfig, sweep_idx: int, run_idx: int) -> dict:
         np.random.SeedSequence(entropy, spawn_key=(_PAIR_STREAM,))
     )
     pairs = _draw_pairs(pair_rng, net.n_nodes, cfg.sessions_per_run)
-    snap0 = trace.snapshots[0]
+    snap0 = trace.snapshot(0)
     sum_d = sum(
         snap0.distance(s, d, use_predicted=False) for s, d in pairs
     )
@@ -349,7 +341,7 @@ def _run_one(cfg: ExperimentConfig, sweep_idx: int, run_idx: int) -> dict:
     for alg in cfg.algorithms:
         stats = per_alg[alg.value]
         for source, dest in pairs:
-            stats.add(_route_session(alg, trace, source, dest, cfg, max_hops))
+            stats.add(_route_session(alg, trace, source, dest, cfg))
 
     return {
         "sweep_idx": sweep_idx,

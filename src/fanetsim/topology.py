@@ -58,6 +58,16 @@ class ContactSnapshot:
         if self.comm_range <= 0.0:
             raise ValueError(f"comm_range must be > 0, got {self.comm_range!r}")
 
+    @classmethod
+    def of_fleet(cls, fleet, comm_range: float) -> "ContactSnapshot":
+        """The fleet's current true positions and its predicted ones."""
+        return cls(
+            time=fleet.time,
+            true_positions=fleet.true_positions(),
+            predicted_positions=fleet.predicted_positions(),
+            comm_range=comm_range,
+        )
+
     @property
     def n_nodes(self) -> int:
         return len(self.true_positions)
@@ -100,26 +110,41 @@ class ContactSnapshot:
         return out
 
 
-@dataclass(frozen=True)
 class NetworkTrace:
-    """A recorded window of snapshots, one per time step."""
+    """One contact snapshot per time step, for steps 0..n_steps.
 
-    snapshots: tuple[ContactSnapshot, ...]
+    Built from snapshots alone, the trace is complete.  Given the fleet of
+    its last snapshot, it records each missing snapshot when first read,
+    in index order and one ``Fleet.advance`` before each, so snapshot k
+    follows exactly k advances however cursors interleave.  Snapshots are
+    kept, so every cursor replays the same objects.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.snapshots:
+    def __init__(self, snapshots, fleet=None, n_steps: int = 0):
+        if not snapshots:
             raise ValueError("trace must contain at least one snapshot")
+        self.snapshots = list(snapshots)
+        self.n_steps = len(self.snapshots) - 1 if fleet is None else n_steps
+        self._fleet = fleet
 
-    @property
-    def n_steps(self) -> int:
-        return len(self.snapshots) - 1
+    def snapshot(self, k: int) -> ContactSnapshot:
+        snaps = self.snapshots
+        if k < len(snaps):
+            return snaps[k]
+        if k > self.n_steps:
+            raise IndexError(f"step {k} beyond the trace's {self.n_steps} steps")
+        fleet = self._fleet
+        while len(snaps) <= k:
+            fleet.advance()
+            snaps.append(ContactSnapshot.of_fleet(fleet, snaps[0].comm_range))
+        return snaps[k]
 
     def cursor(self) -> "TraceCursor":
         return TraceCursor(self)
 
 
 class TraceCursor:
-    """One session's clock over a recorded trace.
+    """One session's clock over a trace.
 
     Presents the time-evolving network interface (snapshot/advance) that
     the routing layer drives; several cursors can replay the same trace
@@ -131,10 +156,10 @@ class TraceCursor:
         self._k = 0
 
     def snapshot(self) -> ContactSnapshot:
-        return self._trace.snapshots[self._k]
+        return self._trace.snapshot(self._k)
 
     def advance(self) -> None:
-        if self._k + 1 >= len(self._trace.snapshots):
+        if self._k >= self._trace.n_steps:
             raise RuntimeError(
                 f"trace exhausted after {self._trace.n_steps} steps"
             )

@@ -148,12 +148,12 @@ class TestRouteGreedy:
         b = route_greedy(trace.cursor(), 0, 5, predictive=False, max_hops=48)
         assert a == b
 
-    def test_hop_cap_reports_stuck(self):
+    def test_hop_cap_reports_hop_cap(self):
         # prediction noise can make the walk wander; the cap must end it
         pos = [(0, 0), (4_000, 0), (8_000, 0), (12_000, 0)]
         trace = static_trace(pos, n_steps=2)
         out = route_greedy(trace.cursor(), 0, 3, max_hops=2)
-        assert out.status is SessionStatus.STUCK_NO_PROGRESS
+        assert out.status is SessionStatus.HOP_CAP
         assert out.hop_count == 2
 
     def test_stale_destination_location_can_mislead(self):

@@ -1,11 +1,13 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fanetsim.analysis import NetworkParams, hop_bounds
-from fanetsim.mobility import MobilityConfig
-from fanetsim.routing import PathWeight
+from fanetsim.mobility import Fleet, MobilityConfig
+from fanetsim.routing import PathWeight, route_greedy
 from fanetsim.simharness import (
     Algorithm,
     ExperimentConfig,
@@ -13,6 +15,7 @@ from fanetsim.simharness import (
     baseline_config,
     figure5_dataset,
     figure6_dataset,
+    record_trace,
     run_experiment,
 )
 
@@ -233,3 +236,84 @@ class TestFigureDatasets:
         # greedy variants may differ but both must be defined
         assert res.get(0.0, Algorithm.GREEDY_PREDICTIVE, "success_rate").mean >= 0.0
         assert res.get(0.0, Algorithm.GREEDY_STATIC, "success_rate").mean >= 0.0
+
+
+class _CountingCursor:
+    """Cursor proxy that counts how far the session moved it."""
+
+    def __init__(self, cursor):
+        self._cursor = cursor
+        self.advances = 0
+
+    def snapshot(self):
+        return self._cursor.snapshot()
+
+    def advance(self):
+        self._cursor.advance()
+        self.advances += 1
+
+
+class TestRecordTrace:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        time_step=st.floats(0.5, 60.0),
+        mean_speed=st.floats(0.0, 400.0),
+        n_steps=st.integers(0, 10),
+        order=st.lists(st.integers(0, 1), max_size=30),
+    )
+    def test_interleaved_cursors_see_eager_stepping(
+        self, seed, n, time_step, mean_speed, n_steps, order
+    ):
+        cfg = MobilityConfig(time_step=time_step, mean_speed=mean_speed)
+        eager = Fleet(cfg, n, seed)
+        expected = []
+        for k in range(n_steps + 1):
+            if k:
+                eager.advance()
+            expected.append(
+                (eager.time, eager.true_positions(), eager.predicted_positions())
+            )
+
+        trace = record_trace(Fleet(cfg, n, seed), 5_000.0, n_steps)
+        cursors = [trace.cursor(), trace.cursor()]
+        at = [0, 0]
+
+        def check(c):
+            snap = cursors[c].snapshot()
+            time, true_pos, pred_pos = expected[at[c]]
+            assert snap.time == time
+            assert np.array_equal(snap.true_positions, true_pos)
+            assert np.array_equal(snap.predicted_positions, pred_pos)
+
+        for c in order:
+            if at[c] < n_steps:
+                cursors[c].advance()
+                at[c] += 1
+            check(c)
+        for c in (0, 1):
+            while at[c] < n_steps:
+                cursors[c].advance()
+                at[c] += 1
+                check(c)
+            with pytest.raises(RuntimeError, match=f"after {n_steps} steps"):
+                cursors[c].advance()
+
+    def test_fleet_steps_only_as_far_as_the_furthest_cursor(self):
+        cfg = MobilityConfig(time_step=30.0)
+        fleet = Fleet(cfg, 10, 123)
+        trace = record_trace(fleet, 5_000.0, 40)
+        trace.snapshot(0)
+        assert fleet.time == 0.0
+
+        furthest = 0
+        for source, dest in ((0, 9), (3, 7), (5, 1)):
+            sim = _CountingCursor(trace.cursor())
+            route_greedy(sim, source, dest, predictive=True, max_hops=40)
+            furthest = max(furthest, sim.advances)
+            assert fleet.time / cfg.time_step == furthest
+        assert 0 < furthest < 40
+        with pytest.raises(IndexError):
+            trace.snapshot(41)
+        assert fleet.time / cfg.time_step == furthest
