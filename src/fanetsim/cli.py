@@ -259,10 +259,9 @@ def _cmd_route(args) -> int:
         overrides.append(f"experiment.seed={args.seed}")
     cp = load_config(args.config, overrides)
     cfg = build_experiment_config(cp)
-    max_hops = cfg.max_hops if cfg.max_hops > 0 else 4 * cfg.net.n_nodes
 
     fleet = Fleet(cfg.mobility, cfg.net.n_nodes, cfg.seed)
-    trace = record_trace(fleet, cfg.net.comm_range, max_hops)
+    trace = record_trace(fleet, cfg.net.comm_range, cfg.hop_cap(cfg.net.n_nodes))
     rng = np.random.default_rng(cfg.seed)
     source, dest = (int(x) for x in rng.choice(cfg.net.n_nodes, 2, replace=False))
 

@@ -42,7 +42,7 @@ class SessionStatus(Enum):
     DELIVERED = "delivered"
     STUCK_NO_PROGRESS = "stuck_no_progress"
     LINK_BROKEN = "link_broken"
-    HOP_CAP = "hop_cap"  # greedy forwarding used up max_hops
+    HOP_CAP = "hop_cap"  # the session used up max_hops
 
 
 class PathWeight(Enum):
@@ -129,21 +129,19 @@ def route_greedy(
     source: int,
     dest: int,
     predictive: bool = True,
-    max_hops: int = 0,
+    *,
+    max_hops: int,
     refresh_destination: bool = True,
 ) -> SessionOutcome:
     """Run one greedy session against a time-evolving network.
 
     ``sim`` must expose ``snapshot()`` and ``advance()``.  One hop is
-    transmitted per time step.  ``max_hops`` <= 0 defaults to four times
-    the node count, which also bounds sessions that prediction noise
-    could otherwise make wander.
+    transmitted per time step, at most ``max_hops`` of them, which also
+    bounds sessions that prediction noise could otherwise make wander.
     """
     if source == dest:
         raise ValueError("source and destination must differ")
     snap0 = sim.snapshot()
-    if max_hops <= 0:
-        max_hops = 4 * snap0.n_nodes
     d0 = snap0.distance(source, dest, use_predicted=False)
     frozen_dest = None
     if predictive and not refresh_destination:
@@ -222,18 +220,20 @@ def route_dijkstra(
     return path
 
 
-def execute_path(sim, path: list[int]) -> SessionOutcome:
+def execute_path(sim, path: list[int], max_hops: int) -> SessionOutcome:
     """Transmit along a precomputed path, one hop per time step, while
     the network keeps moving; any hop whose true link length exceeds the
-    transmission radius breaks the session."""
+    transmission radius breaks the session.  A path longer than
+    ``max_hops`` links ends with HOP_CAP after ``max_hops`` hops."""
     if len(path) < 2:
         raise ValueError("path must contain at least two nodes")
     snap0 = sim.snapshot()
     dest = path[-1]
     d0 = snap0.distance(path[0], dest, use_predicted=False)
     hops: list[HopRecord] = []
-    status = SessionStatus.DELIVERED
-    for k in range(len(path) - 1):
+    n_links = len(path) - 1
+    status = SessionStatus.DELIVERED if n_links <= max_hops else SessionStatus.HOP_CAP
+    for k in range(min(n_links, max_hops)):
         a, b = path[k], path[k + 1]
         sim.advance()  # the transmission occupies this time step
         snap = sim.snapshot()

@@ -127,6 +127,13 @@ class ExperimentConfig:
             raise ValueError("at least one algorithm required")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers!r}")
+        if self.max_hops < 0:
+            raise ValueError(f"max_hops must be >= 0, got {self.max_hops!r}")
+        if self.net.area_side != self.mobility.area_side:
+            raise ValueError(
+                f"net.area_side {self.net.area_side!r} differs from "
+                f"mobility.area_side {self.mobility.area_side!r}"
+            )
         net_fields = ("n_nodes", "area_side", "comm_range")
         mob_fields = tuple(MobilityConfig.__dataclass_fields__)
         if self.sweep.name not in net_fields + mob_fields:
@@ -134,6 +141,11 @@ class ExperimentConfig:
                 f"unknown sweep parameter {self.sweep.name!r}; "
                 f"expected one of {net_fields + mob_fields}"
             )
+
+    def hop_cap(self, n_nodes: int) -> int:
+        """A session's hop budget and its trace's length: ``max_hops``, or
+        four times the node count when ``max_hops`` is 0."""
+        return self.max_hops or 4 * n_nodes
 
 
 @dataclass(frozen=True)
@@ -314,7 +326,7 @@ def _route_session(
             (),
             SessionStatus.STUCK_NO_PROGRESS,
         )
-    return execute_path(cursor, path)
+    return execute_path(cursor, path, trace.n_steps)
 
 
 def _run_one(cfg: ExperimentConfig, sweep_idx: int, run_idx: int) -> dict:
@@ -323,10 +335,9 @@ def _run_one(cfg: ExperimentConfig, sweep_idx: int, run_idx: int) -> dict:
     value = cfg.sweep.values[sweep_idx]
     net, mobility = _cell_params(cfg, value)
     entropy = (cfg.seed, sweep_idx, run_idx)
-    max_hops = cfg.max_hops if cfg.max_hops > 0 else 4 * net.n_nodes
 
     fleet = Fleet(mobility, net.n_nodes, entropy)
-    trace = record_trace(fleet, net.comm_range, max_hops)
+    trace = record_trace(fleet, net.comm_range, cfg.hop_cap(net.n_nodes))
 
     pair_rng = np.random.default_rng(
         np.random.SeedSequence(entropy, spawn_key=(_PAIR_STREAM,))

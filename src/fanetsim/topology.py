@@ -4,39 +4,17 @@ A snapshot carries both the true node positions (used for metric
 accounting and link validity) and the predicted positions (used for
 forwarding decisions).  Neighborhoods follow the unit-disk rule: an edge
 exists iff the Euclidean distance is at most the transmission radius,
-boundary inclusive.  Queries go through a uniform grid with cell size
-equal to the radius, so only the 3x3 cell neighborhood must be scanned.
+boundary inclusive.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["ContactSnapshot", "NetworkTrace", "TraceCursor"]
-
-
-class _GridIndex:
-    """Uniform-grid spatial index over a fixed (n, 2) position array."""
-
-    def __init__(self, positions: np.ndarray, cell_size: float):
-        self._cell = cell_size
-        self._cells: dict[tuple[int, int], list[int]] = defaultdict(list)
-        for i, (x, y) in enumerate(positions):
-            self._cells[(int(math.floor(x / cell_size)),
-                         int(math.floor(y / cell_size)))].append(i)
-
-    def candidates(self, x: float, y: float) -> list[int]:
-        cx = int(math.floor(x / self._cell))
-        cy = int(math.floor(y / self._cell))
-        out: list[int] = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                out.extend(self._cells.get((cx + dx, cy + dy), ()))
-        return out
 
 
 @dataclass(frozen=True)
@@ -47,7 +25,6 @@ class ContactSnapshot:
     true_positions: np.ndarray
     predicted_positions: np.ndarray
     comm_range: float
-    _grids: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.true_positions) != len(self.predicted_positions):
@@ -86,28 +63,15 @@ class ContactSnapshot:
         pos = self.positions(use_predicted)
         return float(math.hypot(pos[i, 0] - pos[j, 0], pos[i, 1] - pos[j, 1]))
 
-    def _grid(self, use_predicted: bool) -> _GridIndex:
-        grid = self._grids.get(use_predicted)
-        if grid is None:
-            grid = _GridIndex(self.positions(use_predicted), self.comm_range)
-            self._grids[use_predicted] = grid
-        return grid
-
     def neighbors(self, i: int, use_predicted: bool = False) -> set[int]:
         """All nodes within comm_range of node i (excluding i itself)."""
         self._check_index(i)
         pos = self.positions(use_predicted)
-        x, y = pos[i]
-        r2 = self.comm_range * self.comm_range
-        out = set()
-        for j in self._grid(use_predicted).candidates(x, y):
-            if j == i:
-                continue
-            dx = pos[j, 0] - x
-            dy = pos[j, 1] - y
-            if dx * dx + dy * dy <= r2:
-                out.add(j)
-        return out
+        dx = pos[:, 0] - pos[i, 0]
+        dy = pos[:, 1] - pos[i, 1]
+        within = dx * dx + dy * dy <= self.comm_range * self.comm_range
+        within[i] = False
+        return set(np.flatnonzero(within).tolist())
 
 
 class NetworkTrace:

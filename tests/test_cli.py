@@ -138,6 +138,19 @@ class TestFigureCommands:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_hop_cap_shorter_than_dijkstra_paths(self, tmp_path):
+        # Dijkstra plans paths longer than one hop; capping them must not
+        # read the one-step trace past its end
+        code = main(["fig5", "--runs", "1", "--out", str(tmp_path),
+                     "--set", "experiment.max_hops=1"])
+        assert code == 0
+
+    def test_negative_max_hops_exits_2(self, tmp_path, capsys):
+        code = main(["fig3", "--out", str(tmp_path),
+                     "--set", "experiment.max_hops=-1"])
+        assert code == 2
+        assert "config error: max_hops must be >= 0" in capsys.readouterr().err
+
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         out = tmp_path / "from_env"
         monkeypatch.setenv("FANETSIM_OUTDIR", str(out))

@@ -95,7 +95,7 @@ class TestRouteGreedy:
     def test_source_equals_destination_rejected(self):
         trace = static_trace([(0, 0), (1, 1)])
         with pytest.raises(ValueError):
-            route_greedy(trace.cursor(), 0, 0)
+            route_greedy(trace.cursor(), 0, 0, max_hops=4)
 
     def test_loop_freedom_on_static_networks(self):
         rng = np.random.default_rng(15)
@@ -240,7 +240,7 @@ class TestExecutePath:
     def test_static_delivery_uses_snapshot_lengths(self):
         pos = [(0, 0), (4_000, 0), (8_000, 0)]
         trace = static_trace(pos)
-        out = execute_path(trace.cursor(), [0, 1, 2])
+        out = execute_path(trace.cursor(), [0, 1, 2], max_hops=2)
         assert out.status is SessionStatus.DELIVERED
         assert out.total_distance == pytest.approx(8_000.0)
         assert [h.tx_distance for h in out.hops] == [
@@ -250,14 +250,23 @@ class TestExecutePath:
 
     def test_single_link_path(self):
         trace = static_trace([(0, 0), (3_000, 0)])
-        out = execute_path(trace.cursor(), [0, 1])
+        out = execute_path(trace.cursor(), [0, 1], max_hops=1)
         assert out.status is SessionStatus.DELIVERED
         assert out.hop_count == 1
+
+    def test_hop_cap_ends_a_longer_path(self):
+        # a trace of one step must not be read past its end
+        pos = [(0, 0), (4_000, 0), (8_000, 0), (12_000, 0)]
+        trace = static_trace(pos, n_steps=1)
+        out = execute_path(trace.cursor(), [0, 1, 2, 3], max_hops=1)
+        assert out.status is SessionStatus.HOP_CAP
+        assert out.hop_count == 1
+        assert out.hops[0].dst == 1
 
     def test_short_path_rejected(self):
         trace = static_trace([(0, 0), (3_000, 0)])
         with pytest.raises(ValueError):
-            execute_path(trace.cursor(), [0])
+            execute_path(trace.cursor(), [0], max_hops=1)
 
     def test_fast_network_breaks_links(self):
         # nodes cross the whole area per step and the range is a small
@@ -274,7 +283,7 @@ class TestExecutePath:
             if path is None or len(path) < 3:
                 continue
             multi += 1
-            out = execute_path(trace.cursor(), path)
+            out = execute_path(trace.cursor(), path, max_hops=70)
             broken += out.status is SessionStatus.LINK_BROKEN
         assert multi > 50
         assert broken / multi > 0.9

@@ -52,6 +52,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(runs=0)
 
+    def test_area_sides_must_agree(self):
+        with pytest.raises(ValueError, match="area_side"):
+            small_config(mobility=replace(STATIC_MOBILITY, area_side=20_000.0))
+
 
 class TestDeterminism:
     def test_repeat_invocations_identical(self):

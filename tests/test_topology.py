@@ -54,15 +54,20 @@ class TestContactSnapshot:
         snap = snap_from([(5.0, 5.0)])
         assert snap.neighbors(0) == set()
 
-    def test_grid_matches_brute_force(self):
+    def test_neighbors_match_brute_force(self):
         rng = np.random.default_rng(10)
         for _ in range(1000):
             n = int(rng.integers(2, 50))
             r = float(rng.uniform(200.0, 8_000.0))
             pos = rng.uniform(0, 10_000, size=(n, 2))
-            snap = snap_from(pos, comm_range=r)
+            # predicted positions can leave the square by up to a range
+            pred = rng.uniform(-r, 10_000 + r, size=(n, 2))
+            snap = snap_from(pos, comm_range=r, predicted=pred)
             i = int(rng.integers(n))
-            assert snap.neighbors(i) == brute_force_neighbors(pos, i, r)
+            for use_predicted, p in ((False, pos), (True, pred)):
+                got = snap.neighbors(i, use_predicted)
+                assert got == brute_force_neighbors(p, i, r)
+                assert all(type(j) is int for j in got)
 
     def test_neighbor_symmetry(self):
         rng = np.random.default_rng(11)
