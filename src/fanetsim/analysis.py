@@ -5,6 +5,14 @@ progress distribution from :mod:`fanetsim.geometry`: expected hop-count
 corridor, expected end-to-end travel distance, the half-disk isolation
 probability, its inverse (minimum range for a target isolation level),
 and the resulting delivery success probability.
+
+Each corridor value costs an adaptive quadrature of the progress CDF
+(whose integrand reads the lens area on plain floats through
+``geometry._lens_area``), so a report computes the hop corridor once and
+derives the travel corridor from it: two quadratures when the
+destination is out of range, one when it is in range.  :func:`bounds_report` is the one corridor path; the
+``fanetsim bounds`` command and the simulation harness's ``bound_*``
+columns both read it.
 """
 
 from __future__ import annotations
@@ -100,7 +108,14 @@ def expected_total_distance(net: NetworkParams, d: float) -> tuple[float, float]
     transmission radius, so the total is (d + hops * comm_range) / 2 with
     the hop count replaced by its lower/upper bounds.
     """
-    hops_lower, hops_upper = hop_bounds(net, d)
+    return _total_distance(net, d, hop_bounds(net, d))
+
+
+def _total_distance(
+    net: NetworkParams, d: float, hops: tuple[float, float]
+) -> tuple[float, float]:
+    """(d + hops * comm_range) / 2 at each end of the hop corridor ``hops``."""
+    hops_lower, hops_upper = hops
     return (
         0.5 * (d + hops_lower * net.comm_range),
         0.5 * (d + hops_upper * net.comm_range),
@@ -147,8 +162,9 @@ def success_probability(net: NetworkParams, hops: float) -> float:
 
 def bounds_report(net: NetworkParams, d: float) -> BoundsReport:
     """Bundle the full corridor set for one source-destination distance."""
-    hops_lower, hops_upper = hop_bounds(net, d)
-    dist_lower, dist_upper = expected_total_distance(net, d)
+    hops = hop_bounds(net, d)
+    hops_lower, hops_upper = hops
+    dist_lower, dist_upper = _total_distance(net, d, hops)
     p_iso = isolation_probability(net)
     return BoundsReport(
         src_dst_distance=d,

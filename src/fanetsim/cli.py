@@ -235,6 +235,11 @@ def _cmd_bounds(args) -> int:
         )
         d = parse_length(args.d)
         report = bounds_report(net, d)
+        r_min = (
+            None
+            if args.epsilon is None
+            else min_range_for_isolation(net, args.epsilon)
+        )
     except (ValueError, ConfigError) as exc:
         raise ConfigError(str(exc)) from exc
     print(f"N={net.n_nodes}  L={net.area_side:g} m  R={net.comm_range:g} m  D={d:g} m")
@@ -245,8 +250,7 @@ def _cmd_bounds(args) -> int:
         f"success prob:        [{report.p_success_lower:.6f}, "
         f"{report.p_success_upper:.6f}]"
     )
-    if args.epsilon is not None:
-        r_min = min_range_for_isolation(net, args.epsilon)
+    if r_min is not None:
         print(f"min range for eps={args.epsilon:g}: {r_min:.2f} m")
     return 0
 
@@ -294,7 +298,10 @@ def _cmd_trace(args) -> int:
         overrides.append(f"experiment.seed={args.seed}")
     cp = load_config(args.config, overrides)
     cfg = build_experiment_config(cp)
-    rows = trajectory_rows(cfg.mobility, cfg.net.n_nodes, cfg.seed, args.steps)
+    try:
+        rows = trajectory_rows(cfg.mobility, cfg.net.n_nodes, cfg.seed, args.steps)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if args.out:
         out_path = Path(args.out)
         out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -7,6 +7,12 @@ ground through relays inside the lens formed by its transmission disk
 the best achievable progress per hop has a closed-form distribution built
 on that lens area; everything in this module is a pure function of its
 arguments.
+
+:func:`expected_progress` integrates :func:`progress_cdf`, which reads
+the lens through the private ``_lens_area`` on plain floats: the
+distribution's fields are validated once when it is built, so no
+:class:`LensParams` is built or checked per integrand evaluation.
+:func:`lens_area` is the public, validating entry to the same formula.
 """
 
 from __future__ import annotations
@@ -63,7 +69,11 @@ def lens_area(p: LensParams) -> float:
     with its arc-cosine arguments and radicand clamped so that exact
     tangency inputs cannot produce NaN through round-off.
     """
-    d, rb, rs = p.d, p.r_big, p.r_small
+    return _lens_area(p.d, p.r_big, p.r_small)
+
+
+def _lens_area(d: float, rb: float, rs: float) -> float:
+    """:func:`lens_area` on plain floats the caller has already validated."""
     if d <= 0.0:
         raise ValueError(f"center separation must be > 0, got {d!r}")
     if d + rb <= rs:  # big circle entirely inside the small one
@@ -127,13 +137,14 @@ def progress_tail(dist: ProgressDistribution, x: float) -> float:
     Valid for x in [d - r, d]; x below zero is equivalent to x = 0 since
     remaining distance is non-negative.
     """
-    slack = _REL_SLACK * max(dist.d, dist.r)
-    if x < dist.d - dist.r - slack or x > dist.d + slack:
-        raise ValueError(
-            f"x={x!r} outside [d - r, d] = [{dist.d - dist.r!r}, {dist.d!r}]"
-        )
-    x_eff = _clamp(x, 0.0, dist.d)
-    area = lens_area(LensParams(dist.d, dist.r, x_eff))
+    d, r = dist.d, dist.r
+    slack = _REL_SLACK * max(d, r)
+    # Written so that a NaN x fails the test too.
+    if not (d - r - slack <= x <= d + slack):
+        raise ValueError(f"x={x!r} outside [d - r, d] = [{d - r!r}, {d!r}]")
+    # d and r were checked by ProgressDistribution and x_eff lies in [0, d],
+    # so the lens needs no LensParams validation on this hot path.
+    area = _lens_area(d, r, _clamp(x, 0.0, d))
     base = _clamp(1.0 - area / (dist.area_side * dist.area_side), 0.0, 1.0)
     return base ** dist.n_nodes
 

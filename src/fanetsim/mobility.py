@@ -15,7 +15,7 @@ nodes can be stepped independently in any order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Iterator, Sequence
 
@@ -61,6 +61,10 @@ class MobilityConfig:
     mean_turn_radius: float = 500.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is not None and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v!r}")
         if self.area_side <= 0.0:
             raise ValueError(f"area_side must be > 0, got {self.area_side!r}")
         if self.mean_speed < 0.0:
@@ -81,6 +85,10 @@ class MobilityConfig:
         if self.mean_turn_radius <= 0.0:
             raise ValueError(
                 f"mean_turn_radius must be > 0, got {self.mean_turn_radius!r}"
+            )
+        if self.prediction_horizon is not None and self.prediction_horizon < 0.0:
+            raise ValueError(
+                f"prediction_horizon must be >= 0, got {self.prediction_horizon!r}"
             )
 
     @property
@@ -319,9 +327,18 @@ class Fleet:
 def trajectory_rows(
     cfg: MobilityConfig, n: int, seed, n_steps: int
 ) -> Iterator[tuple[float, int, float, float, str]]:
-    """Yield (t, node_id, x, y, mode) rows for a trajectory dump."""
+    """(t, node_id, x, y, mode) rows for a trajectory dump, lazily.
+
+    ``n_steps`` is checked on the call, before any row is produced.
+    """
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps!r}")
     fleet = Fleet(cfg, n, seed)
-    for _ in range(n_steps + 1):
-        for s in fleet.nodes:
-            yield fleet.time, s.node_id, s.x, s.y, s.mode.value
-        fleet.advance()
+
+    def rows():
+        for _ in range(n_steps + 1):
+            for s in fleet.nodes:
+                yield fleet.time, s.node_id, s.x, s.y, s.mode.value
+            fleet.advance()
+
+    return rows()

@@ -6,7 +6,9 @@ source/destination sessions per deployment with each enabled algorithm,
 and aggregates per-run means into a mean +/- standard error per cell.
 Analytical corridors (hop count, travel distance, delivery success) are
 attached at each cell's empirical mean source-destination distance over
-*all* sessions (``cell_mean_d``).
+*all* sessions (``cell_mean_d``), read from one
+:func:`~fanetsim.analysis.bounds_report` per cell, the same path that
+``fanetsim bounds`` prints.
 
 Reproducibility: every random stream derives from
 (seed, sweep_index, run_index), and aggregation is an ordered reduction,
@@ -41,7 +43,10 @@ from enum import Enum
 
 import numpy as np
 
-from .analysis import NetworkParams, expected_total_distance, hop_bounds, success_probability
+from .analysis import NetworkParams, bounds_report
+# Module attributes that perfbench/tracing.py wraps by name; they are not
+# called here since the corridors come from bounds_report.
+from .analysis import expected_total_distance, hop_bounds, success_probability  # noqa: F401
 from .mobility import Fleet, MobilityConfig
 from .routing import (
     PathWeight,
@@ -412,14 +417,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         mean_d = sum(r["sum_d"] for r in cell) / sum(r["n_sessions"] for r in cell)
         cell_mean_d[value] = mean_d
 
-        hops_lo, hops_hi = hop_bounds(net, mean_d)
-        dist_lo, dist_hi = expected_total_distance(net, mean_d)
-        succ_lo = success_probability(net, hops_hi)
-        succ_hi = success_probability(net, hops_lo)
+        rep = bounds_report(net, mean_d)
         bounds = {
-            "success_rate": (succ_lo, succ_hi),
-            "hop_count": (hops_lo, hops_hi),
-            "distance": (dist_lo, dist_hi),
+            "success_rate": (rep.p_success_lower, rep.p_success_upper),
+            "hop_count": (rep.hops_lower, rep.hops_upper),
+            "distance": (rep.dist_lower, rep.dist_upper),
             "power": (None, None),
         }
 

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fanetsim import analysis
 from fanetsim.analysis import (
     NetworkParams,
     bounds_report,
@@ -191,6 +193,33 @@ class TestBoundsReport:
         lo, hi = hop_bounds(NET, 7_500.0)
         assert rep.p_success_lower == success_probability(NET, hi)
         assert rep.p_success_upper == success_probability(NET, lo)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 200),
+        side=st.floats(1_000.0, 50_000.0),
+        r_frac=st.floats(0.05, 1.0),
+        d_frac=st.floats(0.001, 1.0),
+    )
+    def test_corridors_equal_the_standalone_functions(self, n, side, r_frac, d_frac):
+        net = NetworkParams(n, side, r_frac * side)
+        d = d_frac * math.sqrt(2.0) * side
+        rep = bounds_report(net, d)
+        assert hop_bounds(net, d) == (rep.hops_lower, rep.hops_upper)
+        assert expected_total_distance(net, d) == (rep.dist_lower, rep.dist_upper)
+
+    @pytest.mark.parametrize("d, quadratures", [(7_500.0, 2), (5_000.0, 1), (3_000.0, 1)])
+    def test_one_quadrature_per_corridor_end(self, monkeypatch, d, quadratures):
+        calls = []
+        original = analysis.expected_progress
+
+        def counted(dist):
+            calls.append(dist.d)
+            return original(dist)
+
+        monkeypatch.setattr(analysis, "expected_progress", counted)
+        bounds_report(NET, d)
+        assert len(calls) == quadratures
 
 
 def test_simulated_hops_inside_corridor_across_regimes():

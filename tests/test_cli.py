@@ -88,6 +88,15 @@ class TestBoundsCommand:
         assert main(["bounds", "--n", "1", "--l", "10", "--r", "5", "--d", "3"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epsilon", ["1.5", "nan", "0"])
+    def test_invalid_epsilon_exits_2_before_the_table(self, capsys, epsilon):
+        code = main(["bounds", "--n", "10", "--l", "10km", "--r", "5km",
+                     "--d", "7.5km", "--epsilon", epsilon])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "config error: epsilon must be in (0, 1)" in captured.err
+        assert captured.out == ""
+
 
 class TestFigureCommands:
     def run_fig(self, tmp_path, name, sub, extra=()):
@@ -151,6 +160,22 @@ class TestFigureCommands:
         assert code == 2
         assert "config error: max_hops must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("mobility.time_step=nan", "time_step must be finite"),
+            ("mobility.mean_speed=nan", "mean_speed must be finite"),
+            ("mobility.mean_wait=inf", "mean_wait must be finite"),
+            ("mobility.prediction_noise_var=nan", "prediction_noise_var must be finite"),
+            ("mobility.prediction_horizon=-1", "prediction_horizon must be >= 0"),
+        ],
+    )
+    def test_non_finite_mobility_exits_2(self, tmp_path, capsys, override, message):
+        code = main(["fig3", "--runs", "1", "--out", str(tmp_path), "--set", override])
+        assert code == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "fig3.csv").exists()
+
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         out = tmp_path / "from_env"
         monkeypatch.setenv("FANETSIM_OUTDIR", str(out))
@@ -202,6 +227,13 @@ class TestTraceCommand:
         t, node_id, x, y, mode = lines[1].split(",")
         assert float(t) == 0.0
         assert mode in ("linear", "circular")
+
+    def test_negative_steps_exit_2(self, capsys):
+        code = main(["trace", "--seed", "2", "--n", "2", "--steps", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "config error: n_steps must be >= 0" in captured.err
+        assert captured.out == ""
 
     def test_stdout_output(self, capsys):
         code = main(["trace", "--seed", "2", "--n", "2", "--steps", "1"])

@@ -132,6 +132,13 @@ class TestProgressDistribution:
         with pytest.raises(ValueError):
             progress_tail(d, d.d + 1.0)
 
+    def test_nan_rejected(self):
+        d = self.dist()
+        with pytest.raises(ValueError):
+            progress_tail(d, math.nan)
+        with pytest.raises(ValueError):
+            progress_cdf(d, math.nan)
+
     def test_tail_at_full_lens_matches_independent_arithmetic(self):
         d = self.dist()
         area = lens_area_segments(d.d, d.r, d.d)

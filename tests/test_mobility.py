@@ -50,6 +50,27 @@ class TestConfig:
         with pytest.raises(ValueError):
             MobilityConfig(time_step=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("area_side", math.nan),
+            ("area_side", math.inf),
+            ("mean_speed", math.nan),
+            ("mean_speed", math.inf),
+            ("mean_wait", math.inf),
+            ("transition_prob", math.nan),
+            ("time_step", math.nan),
+            ("prediction_noise_var", math.nan),
+            ("prediction_horizon", math.nan),
+            ("prediction_horizon", math.inf),
+            ("prediction_horizon", -1.0),
+            ("mean_turn_radius", math.inf),
+        ],
+    )
+    def test_non_finite_and_negative_horizon_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MobilityConfig(**{field: value})
+
     def test_horizon_defaults_to_time_step(self):
         assert MobilityConfig(time_step=2.5).horizon == 2.5
         assert MobilityConfig(time_step=2.5, prediction_horizon=0.0).horizon == 0.0
@@ -211,6 +232,11 @@ class TestFleet:
         for _ in range(10):
             fleet.advance()
         assert np.array_equal(fleet.true_positions(), fleet.predicted_positions())
+
+
+def test_trajectory_rows_rejects_negative_steps():
+    with pytest.raises(ValueError, match="n_steps"):
+        trajectory_rows(MobilityConfig(), 3, 11, -1)
 
 
 def test_trajectory_rows_shape_and_bounds():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fanetsim.analysis import NetworkParams, hop_bounds
+from fanetsim import analysis
+from fanetsim.analysis import NetworkParams, bounds_report, hop_bounds
 from fanetsim.mobility import Fleet, MobilityConfig
 from fanetsim.routing import PathWeight, route_greedy
 from fanetsim.simharness import (
@@ -142,6 +143,40 @@ class TestMetrics:
         assert all(len(line.split(",")) == 8 for line in lines)
         text = res.provenance()
         assert "delivered" not in text and "session_counts" not in text
+
+    def test_bounds_are_the_cell_bounds_report(self):
+        cfg = small_config()
+        res = run_experiment(cfg)
+        for value in (8, 12):
+            rep = bounds_report(
+                replace(cfg.net, n_nodes=value), res.cell_mean_d[value]
+            )
+            expected = {
+                "success_rate": (rep.p_success_lower, rep.p_success_upper),
+                "hop_count": (rep.hops_lower, rep.hops_upper),
+                "distance": (rep.dist_lower, rep.dist_upper),
+            }
+            for metric, bounds in expected.items():
+                row = res.get(value, Algorithm.GREEDY_PREDICTIVE, metric)
+                assert (row.bound_lower, row.bound_upper) == bounds
+
+    def test_two_quadratures_per_cell(self, monkeypatch):
+        calls = []
+        original = analysis.expected_progress
+
+        def counted(dist):
+            calls.append(dist.d)
+            return original(dist)
+
+        monkeypatch.setattr(analysis, "expected_progress", counted)
+        cfg = small_config(
+            net=NetworkParams(n_nodes=10, area_side=10_000.0, comm_range=3_000.0),
+            sweep=SweepSpec("n_nodes", (10,)),
+            runs=2,
+        )
+        res = run_experiment(cfg)
+        assert res.cell_mean_d[10] > cfg.net.comm_range
+        assert len(calls) == 2
 
     def test_mean_d_is_plausible(self):
         res = run_experiment(small_config())
