@@ -46,9 +46,7 @@ from .simharness import (
     ExperimentConfig,
     ExperimentResult,
     SweepSpec,
-    baseline_config,
     figure3_dataset,
-    figure4_dataset,
     figure5_dataset,
     figure6_dataset,
     run_experiment,

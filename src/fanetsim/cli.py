@@ -5,8 +5,9 @@ datasets (plus a JSON provenance echo), ``bounds`` prints the analytical
 corridor table for one parameter set, ``route`` traces a single seeded
 session hop by hop, and ``trace`` dumps mobility trajectories as CSV.
 
-Configuration is a flat INI file with one section per module; every key
-can be overridden on the command line via ``--set section.key=value``.
+Configuration is a flat INI file whose keys and defaults are the fields of
+the config dataclasses (``_SECTIONS``); every key can be overridden on the
+command line via ``--set section.key=value``.
 Lengths accept a ``km`` or ``m`` suffix and are stored in meters.
 """
 
@@ -17,22 +18,19 @@ import configparser
 import csv
 import os
 import sys
+from dataclasses import fields
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import NetworkParams, bounds_report, min_range_for_isolation
 from .mobility import Fleet, MobilityConfig, trajectory_rows
-from .routing import PathWeight
 from .simharness import (
-    DEFAULT_NODE_SWEEP,
-    DEFAULT_SPEED_SWEEP,
     DYNAMIC_TIME_STEP,
     Algorithm,
     ExperimentConfig,
-    SweepSpec,
     figure3_dataset,
-    figure4_dataset,
     figure5_dataset,
     figure6_dataset,
     record_trace,
@@ -60,32 +58,6 @@ def parse_length(text: str) -> float:
         raise ConfigError(f"cannot parse length {text!r}") from exc
 
 
-_DEFAULTS = {
-    "net": {
-        "n_nodes": "10",
-        "area_side": "10km",
-        "comm_range": "5km",
-    },
-    "mobility": {
-        "mean_speed": "50",
-        "mean_wait": "20",
-        "transition_prob": "0.2",
-        "time_step": "1",
-        "prediction_noise_var": "10",
-        "prediction_horizon": "",  # empty: one time step
-        "mean_turn_radius": "500",
-    },
-    "experiment": {
-        "runs": "100",
-        "sessions_per_run": "10",
-        "seed": "0",
-        "max_hops": "0",  # 0: four times the node count
-        "dijkstra_weight": "distance",
-        "refresh_destination": "true",
-        "workers": "1",
-    },
-}
-
 _LENGTH_KEYS = {
     ("net", "area_side"),
     ("net", "comm_range"),
@@ -93,17 +65,39 @@ _LENGTH_KEYS = {
 }
 
 
-def _base_parser() -> configparser.ConfigParser:
-    cp = configparser.ConfigParser()
-    cp.read_dict(_DEFAULTS)
-    return cp
+def _scalar_fields(obj, skip: str = "") -> dict:
+    """A dataclass instance's INI keys and their defaults."""
+    return {
+        f.name: getattr(obj, f.name)
+        for f in fields(obj)
+        if f.name != skip
+        and isinstance(getattr(obj, f.name), (int, float, Enum, type(None)))
+    }
+
+
+# INI section -> key -> default, all read off ExperimentConfig().
+# mobility.area_side is no key: it is always net.area_side.
+_REFERENCE = ExperimentConfig()
+_SECTIONS = {
+    "net": _scalar_fields(_REFERENCE.net),
+    "mobility": _scalar_fields(_REFERENCE.mobility, skip="area_side"),
+    "experiment": _scalar_fields(_REFERENCE),
+}
+
+
+def _format(default) -> str:
+    if default is None:
+        return ""
+    return default.value if isinstance(default, Enum) else str(default)
 
 
 def load_config(
     path: str | None, overrides: list[str] | None = None
 ) -> configparser.ConfigParser:
     """Defaults, then the INI file (if any), then key=value overrides."""
-    cp = _base_parser()
+    cp = configparser.ConfigParser()
+    for section, keys in _SECTIONS.items():
+        cp[section] = {key: _format(v) for key, v in keys.items()}
     if path:
         if not Path(path).is_file():
             raise ConfigError(f"config file not found: {path}")
@@ -113,6 +107,13 @@ def load_config(
             raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
         if not read:
             raise ConfigError(f"cannot read config file: {path}")
+        for section in cp.sections():
+            if section not in _SECTIONS:
+                raise ConfigError(f"unknown config section {section!r} in {path}")
+            for option in cp.options(section):
+                if option not in _SECTIONS[section]:
+                    key = f"{section}.{option}"
+                    raise ConfigError(f"unknown config key {key!r} in {path}")
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override must look like section.key=value: {item!r}")
@@ -120,15 +121,24 @@ def load_config(
         if "." not in key:
             raise ConfigError(f"override key must be section.key: {key!r}")
         section, option = key.split(".", 1)
-        if section not in cp or option not in cp[section]:
-            raise ConfigError(f"unknown config key: {key!r}")
+        if option not in _SECTIONS.get(section, ()):
+            raise ConfigError(f"unknown config key {key!r}")
         cp[section][option] = value
     return cp
 
 
-def _get_float(cp, section, key) -> float:
+def _parse(cp: configparser.ConfigParser, section: str, key: str, default):
+    """One INI value, parsed as its default's type."""
     raw = cp[section][key]
     try:
+        if isinstance(default, bool):
+            return cp.getboolean(section, key)
+        if isinstance(default, int):
+            return int(raw)
+        if isinstance(default, Enum):
+            return type(default)(raw.strip().lower())
+        if default is None and not raw.strip():
+            return None
         if (section, key) in _LENGTH_KEYS:
             return parse_length(raw)
         return float(raw)
@@ -136,58 +146,22 @@ def _get_float(cp, section, key) -> float:
         raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
 
 
-def _get_int(cp, section, key) -> int:
-    raw = cp[section][key]
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
-
-
 def build_experiment_config(cp: configparser.ConfigParser) -> ExperimentConfig:
+    values = {
+        section: {key: _parse(cp, section, key, d) for key, d in keys.items()}
+        for section, keys in _SECTIONS.items()
+    }
     try:
-        net = NetworkParams(
-            n_nodes=_get_int(cp, "net", "n_nodes"),
-            area_side=_get_float(cp, "net", "area_side"),
-            comm_range=_get_float(cp, "net", "comm_range"),
-        )
-        horizon_raw = cp["mobility"]["prediction_horizon"].strip()
-        mobility = MobilityConfig(
-            area_side=net.area_side,
-            mean_speed=_get_float(cp, "mobility", "mean_speed"),
-            mean_wait=_get_float(cp, "mobility", "mean_wait"),
-            transition_prob=_get_float(cp, "mobility", "transition_prob"),
-            time_step=_get_float(cp, "mobility", "time_step"),
-            prediction_noise_var=_get_float(cp, "mobility", "prediction_noise_var"),
-            prediction_horizon=float(horizon_raw) if horizon_raw else None,
-            mean_turn_radius=_get_float(cp, "mobility", "mean_turn_radius"),
-        )
-        weight_raw = cp["experiment"]["dijkstra_weight"].strip().lower()
-        try:
-            weight = PathWeight(weight_raw)
-        except ValueError as exc:
-            raise ConfigError(
-                f"bad experiment.dijkstra_weight: {weight_raw!r}"
-            ) from exc
-        return ExperimentConfig(
-            net=net,
-            mobility=mobility,
-            sweep=SweepSpec("n_nodes", DEFAULT_NODE_SWEEP),
-            runs=_get_int(cp, "experiment", "runs"),
-            sessions_per_run=_get_int(cp, "experiment", "sessions_per_run"),
-            seed=_get_int(cp, "experiment", "seed"),
-            max_hops=_get_int(cp, "experiment", "max_hops"),
-            dijkstra_weight=weight,
-            refresh_destination=cp.getboolean("experiment", "refresh_destination"),
-            workers=_get_int(cp, "experiment", "workers"),
-        )
+        net = NetworkParams(**values["net"])
+        mobility = MobilityConfig(area_side=net.area_side, **values["mobility"])
+        return ExperimentConfig(net=net, mobility=mobility, **values["experiment"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 _FIGURES = {
     "fig3": figure3_dataset,
-    "fig4": figure4_dataset,
+    "fig4": figure3_dataset,
     "fig5": figure5_dataset,
     "fig6": figure6_dataset,
 }

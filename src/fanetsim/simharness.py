@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -64,9 +64,7 @@ __all__ = [
     "ExperimentResult",
     "ResultRow",
     "SweepSpec",
-    "baseline_config",
     "figure3_dataset",
-    "figure4_dataset",
     "figure5_dataset",
     "figure6_dataset",
     "record_trace",
@@ -109,9 +107,12 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    net: NetworkParams
-    mobility: MobilityConfig
-    sweep: SweepSpec
+    """One experiment; the defaults are the reference setup, and they are
+    the only place the CLI's INI keys and defaults come from."""
+
+    net: NetworkParams = NetworkParams(10, 10_000.0, 5_000.0)
+    mobility: MobilityConfig = MobilityConfig()
+    sweep: SweepSpec = SweepSpec("n_nodes", DEFAULT_NODE_SWEEP)
     algorithms: tuple[Algorithm, ...] = (Algorithm.GREEDY_PREDICTIVE,)
     runs: int = 100
     sessions_per_run: int = 10
@@ -134,17 +135,18 @@ class ExperimentConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers!r}")
         if self.max_hops < 0:
             raise ValueError(f"max_hops must be >= 0, got {self.max_hops!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.net.area_side != self.mobility.area_side:
             raise ValueError(
                 f"net.area_side {self.net.area_side!r} differs from "
                 f"mobility.area_side {self.mobility.area_side!r}"
             )
-        net_fields = ("n_nodes", "area_side", "comm_range")
-        mob_fields = tuple(MobilityConfig.__dataclass_fields__)
-        if self.sweep.name not in net_fields + mob_fields:
+        names = tuple(f.name for f in fields(NetworkParams) + fields(MobilityConfig))
+        if self.sweep.name not in names:
             raise ValueError(
                 f"unknown sweep parameter {self.sweep.name!r}; "
-                f"expected one of {net_fields + mob_fields}"
+                f"expected one of {names}"
             )
 
     def hop_cap(self, n_nodes: int) -> int:
@@ -479,58 +481,24 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
 
+def _plain(value):
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    return {
-        "net": {
-            "n_nodes": cfg.net.n_nodes,
-            "area_side": cfg.net.area_side,
-            "comm_range": cfg.net.comm_range,
-        },
-        "mobility": {
-            "area_side": cfg.mobility.area_side,
-            "mean_speed": cfg.mobility.mean_speed,
-            "mean_wait": cfg.mobility.mean_wait,
-            "transition_prob": cfg.mobility.transition_prob,
-            "time_step": cfg.mobility.time_step,
-            "prediction_noise_var": cfg.mobility.prediction_noise_var,
-            "prediction_horizon": cfg.mobility.prediction_horizon,
-            "mean_turn_radius": cfg.mobility.mean_turn_radius,
-        },
-        "sweep": {"name": cfg.sweep.name, "values": list(cfg.sweep.values)},
-        "algorithms": [a.value for a in cfg.algorithms],
-        "runs": cfg.runs,
-        "sessions_per_run": cfg.sessions_per_run,
-        "seed": cfg.seed,
-        "max_hops": cfg.max_hops,
-        "dijkstra_weight": cfg.dijkstra_weight.value,
-        "refresh_destination": cfg.refresh_destination,
-        "workers": cfg.workers,
-    }
-
-
-def baseline_config(**overrides) -> ExperimentConfig:
-    """Defaults of the reference experiment setup; fields overridable."""
-    params = {
-        "net": NetworkParams(n_nodes=10, area_side=10_000.0, comm_range=5_000.0),
-        "mobility": MobilityConfig(),
-        "sweep": SweepSpec("n_nodes", DEFAULT_NODE_SWEEP),
-        "algorithms": (Algorithm.GREEDY_PREDICTIVE,),
-        "runs": 100,
-        "sessions_per_run": 10,
-        "seed": 0,
-    }
-    params.update(overrides)
-    return ExperimentConfig(**params)
-
-
-def _dynamic_mobility(mobility: MobilityConfig) -> MobilityConfig:
-    return replace(mobility, time_step=DYNAMIC_TIME_STEP)
+    """Every config field, nested as in the dataclasses, enums as values."""
+    return asdict(cfg, dict_factory=lambda items: {k: _plain(v) for k, v in items})
 
 
 def figure3_dataset(cfg: ExperimentConfig | None = None) -> ExperimentResult:
-    """Travel distance vs node count, with the analytical corridor."""
+    """Travel distance and delivery success vs node count, with the
+    analytical corridors; ``fanetsim fig4`` writes this dataset too."""
     if cfg is None:
-        cfg = baseline_config()
+        cfg = ExperimentConfig()
     cfg = replace(
         cfg,
         sweep=SweepSpec("n_nodes", DEFAULT_NODE_SWEEP)
@@ -541,15 +509,10 @@ def figure3_dataset(cfg: ExperimentConfig | None = None) -> ExperimentResult:
     return run_experiment(cfg)
 
 
-def figure4_dataset(cfg: ExperimentConfig | None = None) -> ExperimentResult:
-    """Delivery success vs node count, with the analytical corridor."""
-    return figure3_dataset(cfg)
-
-
 def figure5_dataset(cfg: ExperimentConfig | None = None) -> ExperimentResult:
     """Delivery success vs mean speed for all three algorithms."""
     if cfg is None:
-        cfg = baseline_config(mobility=_dynamic_mobility(MobilityConfig()))
+        cfg = ExperimentConfig(mobility=MobilityConfig(time_step=DYNAMIC_TIME_STEP))
     cfg = replace(
         cfg,
         sweep=SweepSpec("mean_speed", DEFAULT_SPEED_SWEEP)
@@ -568,7 +531,7 @@ def figure5_dataset(cfg: ExperimentConfig | None = None) -> ExperimentResult:
 def figure6_dataset(cfg: ExperimentConfig | None = None) -> ExperimentResult:
     """Transmit power per delivered packet vs mean speed, greedy vs Dijkstra."""
     if cfg is None:
-        cfg = baseline_config(mobility=_dynamic_mobility(MobilityConfig()))
+        cfg = ExperimentConfig(mobility=MobilityConfig(time_step=DYNAMIC_TIME_STEP))
     cfg = replace(
         cfg,
         sweep=SweepSpec("mean_speed", DEFAULT_SPEED_SWEEP)

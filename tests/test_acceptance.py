@@ -24,8 +24,8 @@ from fanetsim.mobility import MobilityConfig
 from fanetsim.routing import PathWeight, greedy_next_hop, route_dijkstra
 from fanetsim.simharness import (
     Algorithm,
+    ExperimentConfig,
     SweepSpec,
-    baseline_config,
     figure5_dataset,
     figure6_dataset,
     run_experiment,
@@ -56,7 +56,7 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
 @pytest.fixture(scope="module")
 def static_sweep():
     """100 runs x 10 sessions per node-count cell on motionless networks."""
-    cfg = baseline_config(
+    cfg = ExperimentConfig(
         mobility=MobilityConfig(mean_speed=0.0, prediction_noise_var=0.0),
         sweep=SweepSpec("n_nodes", NODE_SWEEP),
         runs=100,

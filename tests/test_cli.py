@@ -1,11 +1,16 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
 from fanetsim.analysis import NetworkParams, bounds_report, min_range_for_isolation
 from fanetsim.cli import ConfigError, build_experiment_config, load_config, main, parse_length
+from fanetsim.simharness import ExperimentConfig
+
+_DEFAULT_CP = load_config(None)
+ALL_KEYS = [f"{s}.{k}" for s in _DEFAULT_CP.sections() for k in _DEFAULT_CP[s]]
 
 
 class TestParseLength:
@@ -63,6 +68,37 @@ class TestConfigLoading:
     def test_bad_value_surfaces_as_config_error(self):
         with pytest.raises(ConfigError):
             build_experiment_config(load_config(None, ["experiment.runs=ten"]))
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        assert build_experiment_config(load_config(None)) == ExperimentConfig()
+
+    def test_readme_example_is_the_defaults(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        ini = tmp_path / "readme.ini"
+        ini.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        assert build_experiment_config(load_config(str(ini))) == ExperimentConfig()
+
+    @pytest.mark.parametrize("key", ALL_KEYS)
+    def test_bad_value_names_its_key(self, key):
+        with pytest.raises(ConfigError, match=re.escape(f"bad value for {key}: 'x'")):
+            build_experiment_config(load_config(None, [f"{key}=x"]))
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("[net]\nnodes = 20\n", "key 'net.nodes'"),
+            ("[mobility]\narea_side = 40km\n", "key 'mobility.area_side'"),
+            ("[bogus]\n", "section 'bogus'"),
+            ("[DEFAULT]\nruns = 3\n", "key 'net.runs'"),
+        ],
+    )
+    def test_unknown_file_key_exits_2(self, tmp_path, capsys, text, key):
+        ini = tmp_path / "typo.ini"
+        ini.write_text(text)
+        code = main(["fig3", "--config", str(ini), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"config error: unknown config {key} in {ini}" in capsys.readouterr().err
+        assert not (tmp_path / "fig3.csv").exists()
 
 
 class TestBoundsCommand:
@@ -153,6 +189,23 @@ class TestFigureCommands:
         code = main(["fig5", "--runs", "1", "--out", str(tmp_path),
                      "--set", "experiment.max_hops=1"])
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig3", "--set", "experiment.seed=-1"],
+            ["fig5", "--seed", "-1"],
+            ["route", "--seed", "-1"],
+            ["trace", "--seed", "-1", "--steps", "1"],
+        ],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "config error: seed must be >= 0, got -1" in captured.err
+        assert captured.out == ""
 
     def test_negative_max_hops_exits_2(self, tmp_path, capsys):
         code = main(["fig3", "--out", str(tmp_path),

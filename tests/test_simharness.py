@@ -1,5 +1,6 @@
+import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from fanetsim.simharness import (
     Algorithm,
     ExperimentConfig,
     SweepSpec,
-    baseline_config,
     figure5_dataset,
     figure6_dataset,
     record_trace,
@@ -32,7 +32,7 @@ def small_config(**overrides):
         seed=42,
     )
     params.update(overrides)
-    return baseline_config(**params)
+    return ExperimentConfig(**params)
 
 
 class TestConfigValidation:
@@ -56,6 +56,10 @@ class TestConfigValidation:
     def test_area_sides_must_agree(self):
         with pytest.raises(ValueError, match="area_side"):
             small_config(mobility=replace(STATIC_MOBILITY, area_side=20_000.0))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            small_config(seed=-1)
 
 
 class TestDeterminism:
@@ -188,7 +192,7 @@ class TestStderrScaling:
     def test_shrinks_like_inverse_sqrt_runs(self):
         stderrs = {}
         for runs in (25, 100, 400):
-            cfg = baseline_config(
+            cfg = ExperimentConfig(
                 mobility=STATIC_MOBILITY,
                 sweep=SweepSpec("n_nodes", (10,)),
                 runs=runs,
@@ -224,6 +228,17 @@ class TestCsv:
             if cells[3] == "power":
                 assert cells[6] == "" and cells[7] == ""
 
+    def test_provenance_config_has_exactly_the_dataclass_fields(self):
+        config = json.loads(run_experiment(small_config()).provenance())["config"]
+
+        def names(cls):
+            return {f.name for f in fields(cls)}
+
+        assert set(config) == names(ExperimentConfig)
+        assert set(config["net"]) == names(NetworkParams)
+        assert set(config["mobility"]) == names(MobilityConfig)
+        assert set(config["sweep"]) == names(SweepSpec)
+
     def test_provenance_echoes_overrides(self):
         res = run_experiment(small_config())
         text = res.provenance(overrides=["mobility.mean_speed=25"])
@@ -233,7 +248,7 @@ class TestCsv:
 
 class TestFigureDatasets:
     def test_figure5_includes_three_algorithms(self):
-        cfg = baseline_config(
+        cfg = ExperimentConfig(
             mobility=MobilityConfig(time_step=30.0),
             sweep=SweepSpec("mean_speed", (20.0, 80.0)),
             runs=4,
@@ -245,7 +260,7 @@ class TestFigureDatasets:
         assert algs == {a.value for a in Algorithm}
 
     def test_figure6_uses_squared_weight_and_two_algorithms(self):
-        cfg = baseline_config(
+        cfg = ExperimentConfig(
             mobility=MobilityConfig(time_step=30.0),
             sweep=SweepSpec("mean_speed", (20.0, 80.0)),
             runs=4,
@@ -262,7 +277,7 @@ class TestFigureDatasets:
         assert res.config["dijkstra_weight"] == "distance_squared"
 
     def test_speed_sweep_applies_to_mobility(self):
-        cfg = baseline_config(
+        cfg = ExperimentConfig(
             mobility=MobilityConfig(time_step=30.0),
             sweep=SweepSpec("mean_speed", (0.0,)),
             runs=2,
