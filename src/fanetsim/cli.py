@@ -29,6 +29,7 @@ from .mobility import Fleet, MobilityConfig, trajectory_rows
 from .simharness import (
     DYNAMIC_TIME_STEP,
     Algorithm,
+    ConfigError,
     ExperimentConfig,
     figure3_dataset,
     figure5_dataset,
@@ -38,10 +39,6 @@ from .simharness import (
 )
 
 OUTPUT_DIR_ENV = "FANETSIM_OUTDIR"
-
-
-class ConfigError(Exception):
-    """Bad configuration file, key, or value."""
 
 
 def parse_length(text: str) -> float:
@@ -142,7 +139,7 @@ def _parse(cp: configparser.ConfigParser, section: str, key: str, default):
         if (section, key) in _LENGTH_KEYS:
             return parse_length(raw)
         return float(raw)
-    except (ValueError, ConfigError) as exc:
+    except ValueError as exc:  # ConfigError is a ValueError
         raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
 
 
@@ -159,12 +156,24 @@ def build_experiment_config(cp: configparser.ConfigParser) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
+# Figure command -> (dataset function, the key its sweep replaces).
 _FIGURES = {
-    "fig3": figure3_dataset,
-    "fig4": figure3_dataset,
-    "fig5": figure5_dataset,
-    "fig6": figure6_dataset,
+    "fig3": (figure3_dataset, "net.n_nodes"),
+    "fig4": (figure3_dataset, "net.n_nodes"),
+    "fig5": (figure5_dataset, "mobility.mean_speed"),
+    "fig6": (figure6_dataset, "mobility.mean_speed"),
 }
+
+
+def _reject_swept_key(name: str, path: str | None, overrides: list[str]) -> None:
+    """A figure ignores any value of the key it sweeps, so setting it is an error."""
+    key = _FIGURES[name][1]
+    in_file = configparser.ConfigParser()
+    in_file.read(path or [])
+    if in_file.has_option(*key.split(".")) or any(
+        item.split("=", 1)[0] == key for item in overrides
+    ):
+        raise ConfigError(f"{key} cannot be set: {name} sweeps it")
 
 
 def _figure_overrides(name: str) -> list[str]:
@@ -190,8 +199,9 @@ def _cmd_figure(name: str, args) -> int:
     if args.workers is not None:
         overrides.append(f"experiment.workers={args.workers}")
     cp = load_config(args.config, overrides)
+    _reject_swept_key(name, args.config, args.set or [])
     cfg = build_experiment_config(cp)
-    result = _FIGURES[name](cfg)
+    result = _FIGURES[name][0](cfg)
     out_dir = _output_dir(args)
     csv_path = out_dir / f"{name}.csv"
     result.write_csv(csv_path)
@@ -214,7 +224,7 @@ def _cmd_bounds(args) -> int:
             if args.epsilon is None
             else min_range_for_isolation(net, args.epsilon)
         )
-    except (ValueError, ConfigError) as exc:
+    except ValueError as exc:  # ConfigError is a ValueError
         raise ConfigError(str(exc)) from exc
     print(f"N={net.n_nodes}  L={net.area_side:g} m  R={net.comm_range:g} m  D={d:g} m")
     print(f"expected hops:       [{report.hops_lower:.4f}, {report.hops_upper:.4f}]")

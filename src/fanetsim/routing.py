@@ -8,10 +8,12 @@ step's predicted positions (which, at the default one-step prediction
 horizon, estimate exactly where nodes will be when the packet lands),
 while the static variant keeps deciding on the snapshot frozen at session
 start.  The Dijkstra baseline plans its whole path once on the
-session-start true positions and never replans.  Whatever positions the
-decision used, link validity and all metrics (link length, progress) are
-evaluated on the true positions at transmit time, i.e. on the snapshot
-where the transmission completes: a decided hop whose true length exceeds
+session-start true positions and never replans; it reads the snapshot's
+memoised link lists (``ContactSnapshot.links``), which every search on
+that snapshot shares.  Whatever positions the decision used, link
+validity and all metrics (link length, progress) are evaluated on the
+true positions at transmit time, i.e. on the snapshot where the
+transmission completes: a decided hop whose true length exceeds
 the transmission radius there breaks the session.
 """
 
@@ -200,10 +202,9 @@ def route_dijkstra(
         if u == dest:
             break
         done.add(u)
-        for v in snap.neighbors(u, use_predicted=False):
+        for v, w in snap.links(u):
             if v in done:
                 continue
-            w = snap.distance(u, v, use_predicted=False)
             if squared:
                 w = w * w
             alt = d_u + w

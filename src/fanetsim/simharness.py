@@ -60,6 +60,7 @@ from .topology import ContactSnapshot, NetworkTrace
 
 __all__ = [
     "Algorithm",
+    "ConfigError",
     "ExperimentConfig",
     "ExperimentResult",
     "ResultRow",
@@ -85,6 +86,11 @@ DYNAMIC_TIME_STEP = 30.0
 # Stream namespace (spawn key) for the per-run session-pair draws; node
 # streams use small spawn keys, so keep this one far away.
 _PAIR_STREAM = 1_000_003
+
+
+class ConfigError(ValueError):
+    """Bad configuration: a file, key or value, or sessions that a swept
+    cell cannot draw."""
 
 
 class Algorithm(Enum):
@@ -390,10 +396,11 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    # Not checked in ExperimentConfig: the figure functions replace the sweep.
     for value in cfg.sweep.values:
         net, _ = _cell_params(cfg, value)
         if cfg.sessions_per_run > net.n_nodes * (net.n_nodes - 1):
-            raise ValueError(
+            raise ConfigError(
                 f"sessions_per_run={cfg.sessions_per_run} exceeds the number "
                 f"of ordered pairs for n_nodes={net.n_nodes}"
             )

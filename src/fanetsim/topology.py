@@ -4,13 +4,15 @@ A snapshot carries both the true node positions (used for metric
 accounting and link validity) and the predicted positions (used for
 forwarding decisions).  Neighborhoods follow the unit-disk rule: an edge
 exists iff the Euclidean distance is at most the transmission radius,
-boundary inclusive.
+boundary inclusive.  ``links`` adds the true-position link lengths and
+keeps them, so all shortest-path searches on a snapshot share its edges.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +27,8 @@ class ContactSnapshot:
     true_positions: np.ndarray
     predicted_positions: np.ndarray
     comm_range: float
+    # node -> (neighbor indices, link lengths), filled by links()
+    _links: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.true_positions) != len(self.predicted_positions):
@@ -63,15 +67,28 @@ class ContactSnapshot:
         pos = self.positions(use_predicted)
         return float(math.hypot(pos[i, 0] - pos[j, 0], pos[i, 1] - pos[j, 1]))
 
-    def neighbors(self, i: int, use_predicted: bool = False) -> set[int]:
-        """All nodes within comm_range of node i (excluding i itself)."""
+    def _row(self, i: int, use_predicted: bool):
+        """Node i's neighbor indices and every node's x, y offset from i."""
         self._check_index(i)
         pos = self.positions(use_predicted)
         dx = pos[:, 0] - pos[i, 0]
         dy = pos[:, 1] - pos[i, 1]
         within = dx * dx + dy * dy <= self.comm_range * self.comm_range
         within[i] = False
-        return set(np.flatnonzero(within).tolist())
+        return np.flatnonzero(within), dx, dy
+
+    def neighbors(self, i: int, use_predicted: bool = False) -> set[int]:
+        """All nodes within comm_range of node i (excluding i itself)."""
+        return set(self._row(i, use_predicted)[0].tolist())
+
+    def links(self, i: int):
+        """``(j, distance(i, j))`` over node i's true-position neighbors, bit
+        for bit (``hypot`` reads only magnitudes); built once per node."""
+        if i not in self._links:
+            idx, dx, dy = self._row(i, False)
+            hypots = map(math.hypot, dx[idx].tolist(), dy[idx].tolist())
+            self._links[i] = (array("l", idx.tolist()), array("d", hypots))
+        return zip(*self._links[i])
 
 
 class NetworkTrace:

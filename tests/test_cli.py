@@ -207,6 +207,36 @@ class TestFigureCommands:
         assert "config error: seed must be >= 0, got -1" in captured.err
         assert captured.out == ""
 
+    def test_too_many_sessions_exits_2(self, tmp_path, capsys):
+        code = main(["fig3", "--runs", "1", "--out", str(tmp_path),
+                     "--set", "experiment.sessions_per_run=25"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert ("config error: sessions_per_run=25 exceeds the number of "
+                "ordered pairs for n_nodes=5") in captured.err
+        assert not (tmp_path / "fig3.csv").exists()
+
+    @pytest.mark.parametrize(
+        "sub, key",
+        [
+            ("fig3", "net.n_nodes"),
+            ("fig4", "net.n_nodes"),
+            ("fig5", "mobility.mean_speed"),
+            ("fig6", "mobility.mean_speed"),
+        ],
+    )
+    def test_swept_key_exits_2(self, tmp_path, capsys, sub, key):
+        section, option = key.split(".")
+        ini = tmp_path / "swept.ini"
+        ini.write_text(f"[{section}]\n{option} = 40\n")
+        for argv in (["--set", f"{key}=40"], ["--config", str(ini)]):
+            code = main([sub, "--runs", "1", "--out", str(tmp_path), *argv])
+            assert code == 2
+            assert f"config error: {key} cannot be set: {sub} sweeps it" in (
+                capsys.readouterr().err
+            )
+            assert not (tmp_path / f"{sub}.csv").exists()
+
     def test_negative_max_hops_exits_2(self, tmp_path, capsys):
         code = main(["fig3", "--out", str(tmp_path),
                      "--set", "experiment.max_hops=-1"])

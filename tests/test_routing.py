@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -209,6 +210,30 @@ class TestRouteDijkstra:
                 w += link * link if squared else link
             assert w == oracle
         assert reachable > 100
+
+    def test_reads_kept_link_lists_only(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        pos = rng.uniform(0, 10_000, size=(60, 2))
+        pos[59] = (50_000.0, 50_000.0)  # unreachable: the search covers 0's component
+        snap = snap_from(pos, comm_range=2_500.0)
+        calls = Counter()
+        for name in ("distance", "neighbors", "_row"):
+            original = getattr(ContactSnapshot, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(ContactSnapshot, name, counted)
+        assert route_dijkstra(snap, 0, 59) is None
+        assert calls["_row"] > 1
+        assert calls["distance"] == calls["neighbors"] == 0
+        reached = [v for v in range(1, 59) if 0 in snap.neighbors(v)]
+        calls.clear()
+        for weight in PathWeight:
+            assert route_dijkstra(snap, reached[0], 0, weight) is not None
+        assert calls["_row"] == 0  # the second search built no row
+        assert calls["distance"] == calls["neighbors"] == 0
 
     def test_never_beaten_by_greedy(self):
         rng = np.random.default_rng(20)

@@ -12,6 +12,7 @@ from fanetsim.mobility import Fleet, MobilityConfig
 from fanetsim.routing import PathWeight, route_greedy
 from fanetsim.simharness import (
     Algorithm,
+    ConfigError,
     ExperimentConfig,
     SweepSpec,
     figure5_dataset,
@@ -48,6 +49,21 @@ class TestConfigValidation:
         cfg = small_config(sweep=SweepSpec("n_nodes", (3,)), sessions_per_run=10)
         with pytest.raises(ValueError):
             run_experiment(cfg)
+
+    def test_sessions_checked_against_the_sweep_that_runs(self):
+        # 25 sessions do not fit N=5 (20 ordered pairs) but do fit N=10
+        cfg = small_config(
+            sweep=SweepSpec("n_nodes", (5, 10)), sessions_per_run=25, runs=1
+        )
+        with pytest.raises(ConfigError, match="sessions_per_run=25 exceeds .* n_nodes=5"):
+            run_experiment(cfg)
+        speed = replace(
+            cfg,
+            net=replace(cfg.net, n_nodes=10),
+            sweep=SweepSpec("mean_speed", (0.0,)),
+        )
+        counts = run_experiment(speed).session_counts
+        assert counts[0.0, Algorithm.GREEDY_PREDICTIVE.value][1] == 25
 
     def test_runs_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fanetsim.topology import ContactSnapshot, NetworkTrace
 
@@ -84,6 +85,43 @@ class TestContactSnapshot:
         snap = snap_from(true_pos, comm_range=4_000.0, predicted=pred_pos)
         assert snap.neighbors(0, use_predicted=False) == {1}
         assert snap.neighbors(0, use_predicted=True) == {2}
+
+
+class TestLinks:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        k=st.integers(20, 1_600),
+        sx=st.sampled_from((-1, 1)),
+        sy=st.sampled_from((-1, 1)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_links_are_the_neighbors_with_their_distances(self, n, k, sx, sy, seed):
+        rng = np.random.default_rng(seed)
+        pos = rng.integers(0, 10_000, size=(n, 2)).astype(float)
+        # a 3-4-5 offset puts node 1 at exactly R from node 0: the boundary counts
+        r = 5.0 * k
+        pos[1] = pos[0] + (sx * 3.0 * k, sy * 4.0 * k)
+        snap = snap_from(pos, comm_range=r, predicted=rng.uniform(0, 10_000, (n, 2)))
+        assert dict(snap.links(0))[1] == r
+        for i in range(n):
+            got = dict(snap.links(i))
+            assert got == {j: snap.distance(i, j) for j in snap.neighbors(i)}
+            assert dict(snap.links(i)) == got  # the kept row reads the same
+            assert all(type(j) is int and type(w) is float for j, w in got.items())
+
+    def test_links_ignore_predicted_positions(self):
+        true_pos = [(0.0, 0.0), (3_000.0, 0.0), (9_000.0, 0.0)]
+        pred_pos = [(0.0, 0.0), (8_000.0, 0.0), (3_500.0, 0.0)]
+        snap = snap_from(true_pos, comm_range=4_000.0, predicted=pred_pos)
+        assert dict(snap.links(0)) == {1: 3_000.0}
+        assert dict(snap.links(2)) == {}
+
+    def test_index_errors(self):
+        snap = snap_from([(0, 0), (1, 1)])
+        for i in (2, -1):
+            with pytest.raises(IndexError):
+                snap.links(i)
 
 
 class TestTrace:
