@@ -239,14 +239,18 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _cmd_route(args) -> int:
+def _session_config(args) -> ExperimentConfig:
+    """The config of ``route`` and ``trace``: file, --set, then --n/--seed."""
     overrides = list(args.set or [])
     if args.n is not None:
         overrides.append(f"net.n_nodes={args.n}")
     if args.seed is not None:
         overrides.append(f"experiment.seed={args.seed}")
-    cp = load_config(args.config, overrides)
-    cfg = build_experiment_config(cp)
+    return build_experiment_config(load_config(args.config, overrides))
+
+
+def _cmd_route(args) -> int:
+    cfg = _session_config(args)
 
     fleet = Fleet(cfg.mobility, cfg.net.n_nodes, cfg.seed)
     trace = record_trace(fleet, cfg.net.comm_range, cfg.hop_cap(cfg.net.n_nodes))
@@ -275,13 +279,7 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    overrides = list(args.set or [])
-    if args.n is not None:
-        overrides.append(f"net.n_nodes={args.n}")
-    if args.seed is not None:
-        overrides.append(f"experiment.seed={args.seed}")
-    cp = load_config(args.config, overrides)
-    cfg = build_experiment_config(cp)
+    cfg = _session_config(args)
     try:
         rows = trajectory_rows(cfg.mobility, cfg.net.n_nodes, cfg.seed, args.steps)
     except ValueError as exc:

@@ -14,7 +14,9 @@ that snapshot shares.  Whatever positions the decision used, link
 validity and all metrics (link length, progress) are evaluated on the
 true positions at transmit time, i.e. on the snapshot where the
 transmission completes: a decided hop whose true length exceeds
-the transmission radius there breaks the session.
+the transmission radius there breaks the session.  Every session runs
+these rules in one hop loop, ``_forward``; ``route_greedy`` and
+``execute_path`` differ only in how they choose each relay.
 """
 
 from __future__ import annotations
@@ -99,10 +101,10 @@ def greedy_next_hop(
     snap: ContactSnapshot,
     current: int,
     dest: int,
-    use_predicted: bool = True,
     dest_pos: np.ndarray | None = None,
 ) -> int | None:
-    """Neighbor of ``current`` closest to the destination, if it makes progress.
+    """Neighbor of ``current`` closest to the destination, if it makes
+    progress, judged on the snapshot's predicted positions.
 
     Returns the destination itself whenever it is a neighbor, otherwise the
     neighbor strictly closer to the destination than ``current`` is (ties
@@ -110,12 +112,13 @@ def greedy_next_hop(
     progress.  ``dest_pos`` overrides the destination coordinate, for
     callers that carry a stale destination location in the packet.
     """
-    nbrs = snap.neighbors(current, use_predicted)
+    snap._check_index(dest)
+    nbrs = snap.neighbors(current, use_predicted=True)
     if not nbrs:
         return None
     if dest in nbrs:
         return dest
-    pos = snap.positions(use_predicted)
+    pos = snap.predicted_positions
     target = pos[dest] if dest_pos is None else dest_pos
     best = None
     best_d = _dist_to(pos, current, target)
@@ -126,37 +129,17 @@ def greedy_next_hop(
     return best
 
 
-def route_greedy(
-    sim,
-    source: int,
-    dest: int,
-    predictive: bool = True,
-    *,
-    max_hops: int,
-    refresh_destination: bool = True,
-) -> SessionOutcome:
-    """Run one greedy session against a time-evolving network.
-
-    ``sim`` must expose ``snapshot()`` and ``advance()``.  One hop is
-    transmitted per time step, at most ``max_hops`` of them, which also
-    bounds sessions that prediction noise could otherwise make wander.
-    """
-    if source == dest:
-        raise ValueError("source and destination must differ")
-    snap0 = sim.snapshot()
-    d0 = snap0.distance(source, dest, use_predicted=False)
-    frozen_dest = None
-    if predictive and not refresh_destination:
-        frozen_dest = snap0.positions(use_predicted=True)[dest].copy()
-
+def _forward(sim, source: int, dest: int, max_hops: int, choose) -> SessionOutcome:
+    """The hop loop of every session.  ``choose(k, current)`` names the
+    relay of hop k, or None when there is none; the hop then occupies one
+    time step of ``sim`` and is judged on the true positions where it
+    completes.  Ends on arrival, a broken link, no relay, or ``max_hops``."""
+    d0 = sim.snapshot().distance(source, dest, use_predicted=False)
     hops: list[HopRecord] = []
     current = source
     status = SessionStatus.HOP_CAP  # unless the loop breaks out early
-    for _ in range(max_hops):
-        decision_snap = sim.snapshot() if predictive else snap0
-        nxt = greedy_next_hop(
-            decision_snap, current, dest, use_predicted=True, dest_pos=frozen_dest
-        )
+    for k in range(max_hops):
+        nxt = choose(k, current)
         if nxt is None:
             status = SessionStatus.STUCK_NO_PROGRESS
             break
@@ -177,6 +160,35 @@ def route_greedy(
     return SessionOutcome(source, dest, d0, tuple(hops), status)
 
 
+def route_greedy(
+    sim,
+    source: int,
+    dest: int,
+    predictive: bool = True,
+    *,
+    max_hops: int,
+    refresh_destination: bool = True,
+) -> SessionOutcome:
+    """Run one greedy session against a time-evolving network.
+
+    ``sim`` must expose ``snapshot()`` and ``advance()``.  One hop is
+    transmitted per time step, at most ``max_hops`` of them, which also
+    bounds sessions that prediction noise could otherwise make wander.
+    """
+    if source == dest:
+        raise ValueError("source and destination must differ")
+    snap0 = sim.snapshot()
+    frozen_dest = None
+    if predictive and not refresh_destination:
+        frozen_dest = snap0.predicted_positions[dest].copy()
+
+    def choose(k: int, current: int) -> int | None:
+        snap = sim.snapshot() if predictive else snap0
+        return greedy_next_hop(snap, current, dest, dest_pos=frozen_dest)
+
+    return _forward(sim, source, dest, max_hops, choose)
+
+
 def route_dijkstra(
     snap: ContactSnapshot,
     source: int,
@@ -190,6 +202,7 @@ def route_dijkstra(
     """
     if source == dest:
         raise ValueError("source and destination must differ")
+    snap._check_index(dest)
     squared = weight is PathWeight.DISTANCE_SQUARED
     dist = {source: 0.0}
     prev: dict[int, int] = {}
@@ -224,26 +237,9 @@ def route_dijkstra(
 def execute_path(sim, path: list[int], max_hops: int) -> SessionOutcome:
     """Transmit along a precomputed path, one hop per time step, while
     the network keeps moving; any hop whose true link length exceeds the
-    transmission radius breaks the session.  A path longer than
-    ``max_hops`` links ends with HOP_CAP after ``max_hops`` hops."""
+    transmission radius breaks the session.  The session ends DELIVERED
+    at its first arrival at ``path[-1]``, and with HOP_CAP after
+    ``max_hops`` hops."""
     if len(path) < 2:
         raise ValueError("path must contain at least two nodes")
-    snap0 = sim.snapshot()
-    dest = path[-1]
-    d0 = snap0.distance(path[0], dest, use_predicted=False)
-    hops: list[HopRecord] = []
-    n_links = len(path) - 1
-    status = SessionStatus.DELIVERED if n_links <= max_hops else SessionStatus.HOP_CAP
-    for k in range(min(n_links, max_hops)):
-        a, b = path[k], path[k + 1]
-        sim.advance()  # the transmission occupies this time step
-        snap = sim.snapshot()
-        tx = snap.distance(a, b, use_predicted=False)
-        if tx > snap.comm_range:
-            status = SessionStatus.LINK_BROKEN
-            break
-        progress = snap.distance(a, dest, use_predicted=False) - snap.distance(
-            b, dest, use_predicted=False
-        )
-        hops.append(HopRecord(a, b, tx, progress, snap.time))
-    return SessionOutcome(path[0], dest, d0, tuple(hops), status)
+    return _forward(sim, path[0], path[-1], max_hops, lambda k, current: path[k + 1])

@@ -342,9 +342,12 @@ def _route_session(
     return execute_path(cursor, path, trace.n_steps)
 
 
-def _run_one(cfg: ExperimentConfig, sweep_idx: int, run_idx: int) -> dict:
-    """One deployment: start a trace, route every session with every
-    algorithm, return plain-dict tallies (picklable for worker pools)."""
+def _run_one(
+    cfg: ExperimentConfig, sweep_idx: int, run_idx: int
+) -> tuple[float, int, dict[Algorithm, _AlgStats]]:
+    """One deployment: start a trace and route every session with every
+    algorithm.  Returns the sessions' summed session-start separation,
+    their count, and each algorithm's tallies."""
     value = cfg.sweep.values[sweep_idx]
     net, mobility = _cell_params(cfg, value)
     entropy = (cfg.seed, sweep_idx, run_idx)
@@ -361,29 +364,12 @@ def _run_one(cfg: ExperimentConfig, sweep_idx: int, run_idx: int) -> dict:
         snap0.distance(s, d, use_predicted=False) for s, d in pairs
     )
 
-    per_alg: dict[str, _AlgStats] = {a.value: _AlgStats() for a in cfg.algorithms}
+    per_alg = {a: _AlgStats() for a in cfg.algorithms}
     for alg in cfg.algorithms:
-        stats = per_alg[alg.value]
+        stats = per_alg[alg]
         for source, dest in pairs:
             stats.add(_route_session(alg, trace, source, dest, cfg))
-
-    return {
-        "sweep_idx": sweep_idx,
-        "run_idx": run_idx,
-        "sum_d": sum_d,
-        "n_sessions": len(pairs),
-        "per_alg": {
-            name: {
-                "sessions": s.sessions,
-                "delivered": s.delivered,
-                "hops_sum": s.hops_sum,
-                "dist_sum": s.dist_sum,
-                "delivered_d_sum": s.delivered_d_sum,
-                "power_total": s.power_total,
-            }
-            for name, s in per_alg.items()
-        },
-    }
+    return sum_d, len(pairs), per_alg
 
 
 def _mean_stderr(values: list[float]) -> tuple[float, float]:
@@ -423,7 +409,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     for si, value in enumerate(cfg.sweep.values):
         cell = results[si * cfg.runs : (si + 1) * cfg.runs]
         net, _ = _cell_params(cfg, value)
-        mean_d = sum(r["sum_d"] for r in cell) / sum(r["n_sessions"] for r in cell)
+        sums_d, n_sessions, per_alg = zip(*cell)
+        mean_d = sum(sums_d) / sum(n_sessions)
         cell_mean_d[value] = mean_d
 
         rep = bounds_report(net, mean_d)
@@ -435,28 +422,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         }
 
         for alg in cfg.algorithms:
-            per_run = [r["per_alg"][alg.value] for r in cell]
-            success = [r["delivered"] / r["sessions"] for r in per_run]
-            hops = [
-                r["hops_sum"] / r["delivered"] for r in per_run if r["delivered"]
-            ]
-            dist = [
-                r["dist_sum"] / r["delivered"] for r in per_run if r["delivered"]
-            ]
-            power = [
-                r["power_total"] / r["delivered"]
-                for r in per_run
-                if r["delivered"]
-            ]
-            delivered_d = [
-                r["delivered_d_sum"] / r["delivered"]
-                for r in per_run
-                if r["delivered"]
-            ]
+            per_run = [stats[alg] for stats in per_alg]
+            delivering = [r for r in per_run if r.delivered]
+            success = [r.delivered / r.sessions for r in per_run]
+            hops = [r.hops_sum / r.delivered for r in delivering]
+            dist = [r.dist_sum / r.delivered for r in delivering]
+            power = [r.power_total / r.delivered for r in delivering]
+            delivered_d = [r.delivered_d_sum / r.delivered for r in delivering]
             delivered_mean_d[value, alg.value] = _mean_stderr(delivered_d)[0]
             session_counts[value, alg.value] = (
-                sum(r["delivered"] for r in per_run),
-                sum(r["sessions"] for r in per_run),
+                sum(r.delivered for r in per_run),
+                sum(r.sessions for r in per_run),
             )
             for metric, values in (
                 ("success_rate", success),

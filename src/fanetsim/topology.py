@@ -109,11 +109,11 @@ class NetworkTrace:
         self._fleet = fleet
 
     def snapshot(self, k: int) -> ContactSnapshot:
+        if not 0 <= k <= self.n_steps:
+            raise IndexError(f"step {k} outside the trace's steps 0..{self.n_steps}")
         snaps = self.snapshots
         if k < len(snaps):
             return snaps[k]
-        if k > self.n_steps:
-            raise IndexError(f"step {k} beyond the trace's {self.n_steps} steps")
         fleet = self._fleet
         while len(snaps) <= k:
             fleet.advance()

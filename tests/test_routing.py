@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fanetsim.mobility import Fleet, MobilityConfig
 from fanetsim.routing import (
@@ -73,6 +74,12 @@ class TestGreedyNextHop:
         # node 1 looks best even though node 3 actually sits elsewhere
         believed = np.array([10_000.0, 0.0])
         assert greedy_next_hop(snap, 0, 3, dest_pos=believed) == 1
+
+    def test_destination_out_of_range_raises(self):
+        snap = snap_from([(0, 0), (3_000, 0), (6_000, 0)])
+        for dest in (-1, 3, 99):
+            with pytest.raises(IndexError):
+                greedy_next_hop(snap, 0, dest)
 
 
 class TestRouteGreedy:
@@ -186,6 +193,12 @@ class TestRouteDijkstra:
         snap = snap_from([(0, 0), (4_000, 0), (20_000, 0)])
         assert route_dijkstra(snap, 0, 2) is None
 
+    def test_destination_out_of_range_raises(self):
+        snap = snap_from([(0, 0), (4_000, 0), (8_000, 0)])
+        for dest in (-1, 3, 99):
+            with pytest.raises(IndexError):
+                route_dijkstra(snap, 0, dest)
+
     def test_weight_matches_bellman_ford(self):
         rng = np.random.default_rng(19)
         reachable = 0
@@ -288,6 +301,13 @@ class TestExecutePath:
         assert out.hop_count == 1
         assert out.hops[0].dst == 1
 
+    def test_stops_at_first_arrival(self):
+        # the path passes its destination (node 2) before its last node
+        trace = static_trace([(0, 0), (8_000, 0), (4_000, 0)])
+        out = execute_path(trace.cursor(), [0, 2, 1, 2], max_hops=8)
+        assert out.status is SessionStatus.DELIVERED
+        assert [h.dst for h in out.hops] == [2]
+
     def test_short_path_rejected(self):
         trace = static_trace([(0, 0), (3_000, 0)])
         with pytest.raises(ValueError):
@@ -334,3 +354,22 @@ class TestDynamicSessions:
             out = route_greedy(trace.cursor(), 0, 9, predictive=False, max_hops=40)
             statuses.add(out.status)
         assert SessionStatus.LINK_BROKEN in statuses
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 16),
+        speed=st.sampled_from((10.0, 100.0, 300.0)),
+        predictive=st.booleans(),
+    )
+    def test_replayed_relays_give_the_same_session(self, seed, n, speed, predictive):
+        # greedy and execute_path share one hop loop: walking a delivered
+        # greedy session's relays again on the same trace repeats its hops
+        fleet = Fleet(MobilityConfig(mean_speed=speed, time_step=30.0), n, seed)
+        trace = record_trace(fleet, R, 4 * n)
+        out = route_greedy(
+            trace.cursor(), 0, n - 1, predictive=predictive, max_hops=4 * n
+        )
+        assume(out.delivered)
+        path = [0] + [h.dst for h in out.hops]
+        assert execute_path(trace.cursor(), path, max_hops=4 * n) == out

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fanetsim.mobility import Fleet, MobilityConfig
 from fanetsim.topology import ContactSnapshot, NetworkTrace
 
 from oracles import brute_force_neighbors
@@ -150,6 +151,17 @@ class TestTrace:
         a.advance()
         assert a.snapshot().time == 2.0
         assert b.snapshot().time == 0.0
+
+    def test_negative_step_raises(self):
+        trace = self.make_trace(3)
+        assert trace.snapshot(3).time == 3.0
+        with pytest.raises(IndexError):
+            trace.snapshot(-1)
+        fleet = Fleet(MobilityConfig(), 2, 0)
+        lazy = NetworkTrace((ContactSnapshot.of_fleet(fleet, 100.0),), fleet, 3)
+        lazy.snapshot(3)
+        with pytest.raises(IndexError):
+            lazy.snapshot(-1)
 
     def test_exhaustion_raises(self):
         trace = self.make_trace(1)
