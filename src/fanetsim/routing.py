@@ -1,4 +1,4 @@
-"""Distance-greedy forwarding and the Dijkstra shortest-path baseline.
+"""Distance-greedy forwarding and the shortest-path baseline.
 
 A session moves one packet from source toward destination, one hop per
 time step of the driving network: the forwarding decision is made at the
@@ -8,15 +8,19 @@ step's predicted positions (which, at the default one-step prediction
 horizon, estimate exactly where nodes will be when the packet lands),
 while the static variant keeps deciding on the snapshot frozen at session
 start.  The Dijkstra baseline plans its whole path once on the
-session-start true positions and never replans; it reads the snapshot's
-memoised link lists (``ContactSnapshot.links``), which every search on
-that snapshot shares.  Whatever positions the decision used, link
-validity and all metrics (link length, progress) are evaluated on the
-true positions at transmit time, i.e. on the snapshot where the
-transmission completes: a decided hop whose true length exceeds
-the transmission radius there breaks the session.  Every session runs
-these rules in one hop loop, ``_forward``; ``route_greedy`` and
-``execute_path`` differ only in how they choose each relay.
+session-start true positions and never replans.  It searches with A*
+toward the destination for ``distance`` weights (straight-line heuristic
+on the true positions) and with plain Dijkstra for ``distance_squared``;
+both return a minimum-weight path, and only the choice among paths of
+exactly equal weight may differ from an uninformed Dijkstra's.  It reads
+the snapshot's memoised link lists (``ContactSnapshot.links``), which
+every search on that snapshot shares.  Whatever positions the decision
+used, link validity and all metrics (link length, progress) are
+evaluated on the true positions at transmit time, i.e. on the snapshot
+where the transmission completes: a decided hop whose true length
+exceeds the transmission radius there breaks the session.  Every
+session runs these rules in one hop loop, ``_forward``; ``route_greedy``
+and ``execute_path`` differ only in how they choose each relay.
 """
 
 from __future__ import annotations
@@ -198,23 +202,35 @@ def route_dijkstra(
     """Minimum-weight path on the snapshot's true-position unit-disk graph.
 
     Returns the node sequence source..dest, or None when the two lie in
-    different components.
+    different components.  The search is A*: each node's heap key adds
+    ``h(v)``, its straight-line distance to ``dest`` on the true positions
+    for ``DISTANCE`` weights (no link is shorter than the progress it
+    makes, so the bound is consistent), and 0 for ``DISTANCE_SQUARED``,
+    which leaves plain Dijkstra.  The returned path always has minimum
+    weight; among paths of exactly equal weight, the one chosen may differ
+    from an uninformed Dijkstra's.
     """
     if source == dest:
         raise ValueError("source and destination must differ")
     snap._check_index(dest)
     squared = weight is PathWeight.DISTANCE_SQUARED
+    if squared:
+        h = [0.0] * snap.n_nodes  # no useful lower bound on summed squares
+    else:
+        pos = snap.true_positions
+        h = np.hypot(pos[:, 0] - pos[dest, 0], pos[:, 1] - pos[dest, 1]).tolist()
     dist = {source: 0.0}
     prev: dict[int, int] = {}
     done: set[int] = set()
-    heap: list[tuple[float, int]] = [(0.0, source)]
+    heap: list[tuple[float, int]] = [(h[source], source)]
     while heap:
-        d_u, u = heapq.heappop(heap)
+        _, u = heapq.heappop(heap)
         if u in done:
             continue
         if u == dest:
             break
         done.add(u)
+        d_u = dist[u]
         for v, w in snap.links(u):
             if v in done:
                 continue
@@ -224,7 +240,7 @@ def route_dijkstra(
             if alt < dist.get(v, math.inf):
                 dist[v] = alt
                 prev[v] = u
-                heapq.heappush(heap, (alt, v))
+                heapq.heappush(heap, (alt + h[v], v))
     if dest not in dist:
         return None
     path = [dest]

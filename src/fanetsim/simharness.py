@@ -137,6 +137,15 @@ class ExperimentConfig:
             )
         if not self.algorithms:
             raise ValueError("at least one algorithm required")
+        for alg in self.algorithms:
+            if not isinstance(alg, Algorithm):
+                raise ValueError(f"algorithms entry {alg!r} is not an Algorithm")
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ValueError(f"an algorithm appears twice in {self.algorithms!r}")
+        if not isinstance(self.dijkstra_weight, PathWeight):
+            raise ValueError(
+                f"dijkstra_weight {self.dijkstra_weight!r} is not a PathWeight"
+            )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers!r}")
         if self.max_hops < 0:

@@ -130,6 +130,41 @@ def brute_greedy_next_hop(
     return best
 
 
+def _bellman_ford(
+    positions: np.ndarray, comm_range: float, source: int, squared: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Min path weights from ``source`` on the unit-disk graph and each
+    node's predecessor (-1 for the source and unreachable nodes).
+
+    Each round relaxes every edge at once on a dense weight matrix; a
+    weight is ``math.hypot`` of the coordinate differences (squared when
+    asked), so path weights are the same float sums the library forms.
+    """
+    pos = np.asarray(positions, dtype=float)
+    n = len(pos)
+    dx = (pos[:, None, 0] - pos[None, :, 0]).ravel().tolist()
+    dy = (pos[:, None, 1] - pos[None, :, 1]).ravel().tolist()
+    w = np.array(list(map(math.hypot, dx, dy))).reshape(n, n)
+    w[w > comm_range] = math.inf
+    np.fill_diagonal(w, math.inf)
+    if squared:
+        w = w * w
+    dist = np.full(n, math.inf)
+    dist[source] = 0.0
+    pred = np.full(n, -1)
+    cols = np.arange(n)
+    for _ in range(n - 1):
+        cand = dist[:, None] + w
+        best = cand.argmin(axis=0)
+        new = cand[best, cols]
+        better = new < dist
+        if not better.any():
+            break
+        dist[better] = new[better]
+        pred[better] = best[better]
+    return dist, pred
+
+
 def bellman_ford_weight(
     positions: np.ndarray,
     comm_range: float,
@@ -138,27 +173,25 @@ def bellman_ford_weight(
     squared: bool = False,
 ) -> float:
     """Min path weight on the unit-disk graph; inf when unreachable."""
-    n = len(positions)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = math.hypot(*(positions[i] - positions[j]))
-            if w <= comm_range:
-                edges.append((i, j, w * w if squared else w))
-    dist = [math.inf] * n
-    dist[source] = 0.0
-    for _ in range(n - 1):
-        changed = False
-        for i, j, w in edges:
-            if dist[i] + w < dist[j]:
-                dist[j] = dist[i] + w
-                changed = True
-            if dist[j] + w < dist[i]:
-                dist[i] = dist[j] + w
-                changed = True
-        if not changed:
-            break
-    return dist[dest]
+    return float(_bellman_ford(positions, comm_range, source, squared)[0][dest])
+
+
+def bellman_ford_path(
+    positions: np.ndarray,
+    comm_range: float,
+    source: int,
+    dest: int,
+    squared: bool = False,
+) -> list[int] | None:
+    """A min-weight path source..dest, read back along the predecessors;
+    None when unreachable."""
+    dist, pred = _bellman_ford(positions, comm_range, source, squared)
+    if dist[dest] == math.inf:
+        return None
+    path = [dest]
+    while path[-1] != source:
+        path.append(int(pred[path[-1]]))
+    return path[::-1]
 
 
 def ks_statistic_uniform(samples: np.ndarray, low: float, high: float) -> float:

@@ -17,7 +17,7 @@ from fanetsim.routing import (
 from fanetsim.simharness import record_trace
 from fanetsim.topology import ContactSnapshot, NetworkTrace
 
-from oracles import bellman_ford_weight, brute_greedy_next_hop
+from oracles import bellman_ford_path, bellman_ford_weight, brute_greedy_next_hop
 
 R = 5_000.0
 STATIC = MobilityConfig(mean_speed=0.0, prediction_noise_var=0.0)
@@ -223,6 +223,61 @@ class TestRouteDijkstra:
                 w += link * link if squared else link
             assert w == oracle
         assert reachable > 100
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 400),
+        side=st.sampled_from([10_000.0, 40_000.0]),
+        r=st.floats(1_000.0, 7_000.0),
+        squared=st.booleans(),
+    )
+    def test_path_matches_bellman_ford(self, seed, n, side, r, squared):
+        # continuous positions: no two distinct paths weigh exactly the same
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(0, side, size=(n, 2))
+        s, d = (int(v) for v in rng.choice(n, 2, replace=False))
+        weight = PathWeight.DISTANCE_SQUARED if squared else PathWeight.DISTANCE
+        path = route_dijkstra(snap_from(pos, comm_range=r), s, d, weight)
+        assert path == bellman_ford_path(pos, r, s, d, squared=squared)
+
+    def test_equal_weight_paths_give_the_oracle_weight_reproducibly(self):
+        # a 5 x 5 lattice at 1 km spacing: every monotone corner-to-corner
+        # walk weighs exactly 8 km (or 8 km^2 summed squares)
+        pos = [(1_000.0 * i, 1_000.0 * j) for i in range(5) for j in range(5)]
+        for squared in (False, True):
+            weight = PathWeight.DISTANCE_SQUARED if squared else PathWeight.DISTANCE
+            path = route_dijkstra(snap_from(pos, comm_range=1_200.0), 0, 24, weight)
+            w = sum(
+                math.dist(pos[a], pos[b]) ** (2 if squared else 1)
+                for a, b in zip(path, path[1:])
+            )
+            assert w == bellman_ford_weight(np.array(pos), 1_200.0, 0, 24, squared)
+            again = snap_from(pos, comm_range=1_200.0)
+            assert route_dijkstra(again, 0, 24, weight) == path
+
+    def test_distance_search_is_goal_directed(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        pos = rng.uniform(0, 40_000, size=(400, 2))
+        r = 5_000.0
+        probe = snap_from(pos, comm_range=r)
+        pairs = (map(int, rng.choice(400, 2, replace=False)) for _ in range(100))
+        s, d = next(
+            (s, d)
+            for s, d in pairs
+            if probe.distance(s, d) > 4 * r and route_dijkstra(probe, s, d)
+        )
+        rows = Counter()
+        original = ContactSnapshot._row
+
+        def counted(self, *args, **kwargs):
+            rows[weight] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ContactSnapshot, "_row", counted)
+        for weight in PathWeight:  # a fresh snapshot each: no kept rows
+            assert route_dijkstra(snap_from(pos, comm_range=r), s, d, weight)
+        assert 0 < rows[PathWeight.DISTANCE] < rows[PathWeight.DISTANCE_SQUARED]
 
     def test_reads_kept_link_lists_only(self, monkeypatch):
         rng = np.random.default_rng(21)

@@ -77,6 +77,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             small_config(seed=-1)
 
+    def test_weight_must_be_a_path_weight(self):
+        # a plain string would otherwise route with DISTANCE and echo the string
+        with pytest.raises(ValueError, match="dijkstra_weight 'distance_squared'"):
+            small_config(dijkstra_weight="distance_squared")
+
+    def test_algorithms_must_be_algorithms(self):
+        with pytest.raises(ValueError, match="'greedy_static' is not an Algorithm"):
+            small_config(algorithms=("greedy_static",))
+
+    def test_duplicate_algorithm_rejected(self):
+        # it would double the CSV rows and the attempted session counts
+        with pytest.raises(ValueError, match="twice"):
+            small_config(algorithms=(Algorithm.GREEDY_PREDICTIVE,) * 2)
+
 
 class TestDeterminism:
     def test_repeat_invocations_identical(self):
