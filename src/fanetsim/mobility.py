@@ -9,7 +9,12 @@ inside the deployment square by specular reflection.
 
 Every random draw comes from a per-node stream derived from
 (seed, node_id, stream), so trajectories are bitwise reproducible and
-nodes can be stepped independently in any order.
+nodes can be stepped independently in any order; these streams are the
+reproducibility contract.  ``Fleet`` steps the whole deployment as
+arrays (kinematics, reflection and prediction are a few array operations
+per step) and draws from a node's stream only when that node renews or
+is predicted with noise.  ``step`` and ``predict_position`` move one
+``NodeState`` and are the reference the fleet matches bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Iterator, Sequence
+from itertools import repeat
+from typing import Iterator
 
 import numpy as np
 
@@ -133,48 +139,53 @@ def node_rng(seed, node_id: int, stream: int = _STREAM_INIT) -> np.random.Genera
     )
 
 
-def _draw_params(
-    mode: MobilityMode, cfg: MobilityConfig, rng: np.random.Generator
-) -> MobilityParams:
-    speed = float(rng.exponential(cfg.mean_speed)) if cfg.mean_speed > 0 else 0.0
-    sojourn = float(rng.exponential(cfg.mean_wait))
+def _renewal_draw(
+    linear: bool, cfg: MobilityConfig, rng: np.random.Generator
+) -> tuple[float, float, float, float, float, float]:
+    """``(speed, sojourn, heading, turn_radius, phase, angular_speed)`` drawn
+    for one renewal into the given mode; fields the mode does not use are 0.
+
+    ``m * standard_exponential()`` and ``2pi * random()`` are bit for bit
+    ``exponential(m)`` and ``uniform(0, 2pi)``, at about half the cost.
+    """
+    speed = 0.0
+    if cfg.mean_speed > 0:
+        speed = cfg.mean_speed * rng.standard_exponential()
+    sojourn = cfg.mean_wait * rng.standard_exponential()
     if sojourn <= 0.0:  # exponential draw can underflow to exactly 0
         sojourn = 1e-9
-    if mode is MobilityMode.LINEAR:
-        heading = float(rng.uniform(0.0, _TWO_PI))
-        return MobilityParams(speed=speed, sojourn=sojourn, heading=heading)
-    turn_radius = max(float(rng.exponential(cfg.mean_turn_radius)), 1e-6)
-    phase = float(rng.uniform(0.0, _TWO_PI))
+    if linear:
+        return speed, sojourn, _TWO_PI * rng.random(), 0.0, 0.0, 0.0
+    turn_radius = max(cfg.mean_turn_radius * rng.standard_exponential(), 1e-6)
+    phase = _TWO_PI * rng.random()
     direction = 1.0 if rng.random() < 0.5 else -1.0
-    return MobilityParams(
-        speed=speed,
-        sojourn=sojourn,
-        turn_radius=turn_radius,
-        phase=phase,
-        angular_speed=direction * speed / turn_radius,
-    )
+    return speed, sojourn, 0.0, turn_radius, phase, direction * speed / turn_radius
+
+
+def _deploy(cfg: MobilityConfig, n: int, seed) -> list[tuple]:
+    """Per node, ``(x, y, linear, *renewal draw)`` from its init stream."""
+    if n < 2:
+        raise ValueError(f"need at least 2 nodes, got {n!r}")
+    rows = []
+    for i in range(n):
+        rng = node_rng(seed, i, _STREAM_INIT)
+        x = cfg.area_side * rng.random()
+        y = cfg.area_side * rng.random()
+        linear = rng.random() < 0.5
+        rows.append((x, y, linear, *_renewal_draw(linear, cfg, rng)))
+    return rows
+
+
+def _mode(linear: bool) -> MobilityMode:
+    return MobilityMode.LINEAR if linear else MobilityMode.CIRCULAR
 
 
 def init_deployment(cfg: MobilityConfig, n: int, seed) -> list[NodeState]:
     """Uniform i.i.d. positions on the square, equiprobable initial modes."""
-    if n < 2:
-        raise ValueError(f"need at least 2 nodes, got {n!r}")
-    nodes = []
-    for i in range(n):
-        rng = node_rng(seed, i, _STREAM_INIT)
-        x = float(rng.uniform(0.0, cfg.area_side))
-        y = float(rng.uniform(0.0, cfg.area_side))
-        mode = MobilityMode.LINEAR if rng.random() < 0.5 else MobilityMode.CIRCULAR
-        nodes.append(
-            NodeState(
-                node_id=i,
-                x=x,
-                y=y,
-                mode=mode,
-                params=_draw_params(mode, cfg, rng),
-            )
-        )
-    return nodes
+    return [
+        NodeState(i, x, y, _mode(linear), MobilityParams(*draw))
+        for i, (x, y, linear, *draw) in enumerate(_deploy(cfg, n, seed))
+    ]
 
 
 def _fold(v: float, side: float) -> tuple[float, bool]:
@@ -247,7 +258,7 @@ def step(
                 if mode is MobilityMode.LINEAR
                 else MobilityMode.LINEAR
             )
-        params = _draw_params(mode, cfg, rng)
+        params = MobilityParams(*_renewal_draw(mode is MobilityMode.LINEAR, cfg, rng))
         time_in_state = 0.0
 
     return NodeState(
@@ -287,40 +298,159 @@ def predict_position(
     return x, y
 
 
+def _unit(angle: np.ndarray) -> np.ndarray:
+    """Rows ``cos a`` and ``sin a``.  ``tests/test_mobility.py`` checks
+    that numpy's cos/sin give ``math``'s results, as ``step`` uses."""
+    return np.array((np.cos(angle), np.sin(angle)))
+
+
+def _fold_all(v: np.ndarray, side: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """``_fold`` over every coordinate at once: the reflected coordinates and
+    each one's odd-reflection flag, or None if all stayed inside."""
+    out = (v < 0.0) | (v > side)
+    if not out.any():
+        return v, None
+    flipped = np.zeros_like(out)
+    while out.any():
+        flipped ^= out
+        v = np.where(v < 0.0, -v, np.where(v > side, 2.0 * side - v, v))
+        out = (v < 0.0) | (v > side)
+    return v, flipped
+
+
 class Fleet:
     """All nodes of one deployment, advancing in lock-step.
 
-    Owns one motion stream and one prediction-noise stream per node so a
-    fixed seed reproduces trajectories exactly regardless of what else is
-    sampled around the fleet.
+    State is held as one array per quantity (position, mode, speed,
+    sojourn, heading, turn radius, orbit phase, signed angular speed, time
+    in state), so a step moves every node in a few array operations with
+    the same float operations as ``step``.  Random draws stay per node:
+    each node has its own motion stream, created at its first renewal, and
+    its own prediction-noise stream, so a fixed seed reproduces
+    trajectories exactly regardless of what else is sampled around the
+    fleet.  ``step`` and ``predict_position`` are the per-node reference.
     """
 
     def __init__(self, cfg: MobilityConfig, n: int, seed):
         self.cfg = cfg
-        self.nodes = init_deployment(cfg, n, seed)
-        self._motion_rngs = [node_rng(seed, i, _STREAM_MOTION) for i in range(n)]
+        self._seed = seed
+        x, y, linear, *draw = (np.array(c) for c in zip(*_deploy(cfg, n, seed)))
+        self._xy = np.array((x, y))  # row 0 is x, row 1 is y
+        self._linear = linear
+        (
+            self._speed,
+            self._sojourn,
+            self._heading,
+            self._turn_radius,
+            self._phase,
+            self._angular_speed,
+        ) = draw
+        self._time_in_state = np.zeros(n)
+        self._motion_rngs: list[np.random.Generator | None] = [None] * n
         self._noise_rngs = [node_rng(seed, i, _STREAM_NOISE) for i in range(n)]
         self.time = 0.0
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self._linear)
+
+    @property
+    def nodes(self) -> list[NodeState]:
+        """The per-node states, built from the arrays on each read."""
+        params = np.array(
+            (
+                self._speed,
+                self._sojourn,
+                self._heading,
+                self._turn_radius,
+                self._phase,
+                self._angular_speed,
+            )
+        ).T.tolist()
+        rows = zip(
+            *self._xy.tolist(),
+            self._linear.tolist(),
+            self._time_in_state.tolist(),
+            params,
+        )
+        return [
+            NodeState(i, x, y, _mode(linear), MobilityParams(*p), t)
+            for i, (x, y, linear, t, p) in enumerate(rows)
+        ]
+
+    def _displace(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """``_displace`` for every node: raw positions and orbit phases."""
+        phase = self._phase
+        new_phase = phase + self._angular_speed * dt
+        line = self._speed * dt * _unit(self._heading)
+        arc = self._turn_radius * (_unit(new_phase) - _unit(phase))
+        return self._xy + np.where(self._linear, line, arc), new_phase
 
     def advance(self) -> None:
-        self.nodes = [
-            step(s, self.cfg, g) for s, g in zip(self.nodes, self._motion_rngs)
-        ]
-        self.time += self.cfg.time_step
+        """``step`` for every node: move, reflect, then renew where due."""
+        dt = self.cfg.time_step
+        xy, phase = self._displace(dt)
+        # Linear nodes keep phase and spin 0, so this leaves their phase 0.
+        phase %= _TWO_PI
+        xy, flipped = _fold_all(xy, self.cfg.area_side)
+        if flipped is not None:
+            fx, fy = flipped
+            turned = fx | fy
+            linear, circular = self._linear, ~self._linear
+            heading = np.where(fx, math.pi - self._heading, self._heading)
+            heading = np.where(fy, -heading, heading)
+            self._heading = np.where(
+                linear & turned, heading % _TWO_PI, self._heading
+            )
+            mirrored = np.where(fx, math.pi - phase, phase)
+            mirrored = np.where(fy, -mirrored, mirrored)
+            phase = np.where(circular & turned, mirrored % _TWO_PI, phase)
+            omega = self._angular_speed
+            omega = np.where(circular & fx, -omega, omega)
+            self._angular_speed = np.where(circular & fy, -omega, omega)
+        self._xy = xy
+        self._phase = phase
+        self._time_in_state += dt
+        due = (self._time_in_state >= self._sojourn).nonzero()[0]
+        if due.size:
+            self._renew(due)
+        self.time += dt
+
+    def _renew(self, due: np.ndarray) -> None:
+        """``step``'s Markov renewal for each due node, from its own stream."""
+        cfg = self.cfg
+        rngs = self._motion_rngs
+        rows = []
+        for i, linear in zip(due.tolist(), self._linear[due].tolist()):
+            rng = rngs[i]
+            if rng is None:
+                rng = rngs[i] = node_rng(self._seed, i, _STREAM_MOTION)
+            if rng.random() < cfg.transition_prob:
+                linear = not linear
+            rows.append((linear, *_renewal_draw(linear, cfg, rng)))
+        (
+            self._linear[due],
+            self._speed[due],
+            self._sojourn[due],
+            self._heading[due],
+            self._turn_radius[due],
+            self._phase[due],
+            self._angular_speed[due],
+        ) = zip(*rows)
+        self._time_in_state[due] = 0.0
 
     def true_positions(self) -> np.ndarray:
-        return np.array([(s.x, s.y) for s in self.nodes], dtype=float)
+        return self._xy.T.copy()
 
     def predicted_positions(self) -> np.ndarray:
+        """``predict_position`` for every node; noise is drawn per node."""
         horizon = self.cfg.horizon
         noise_var = self.cfg.prediction_noise_var
-        out = np.empty((self.n_nodes, 2), dtype=float)
-        for i, (s, g) in enumerate(zip(self.nodes, self._noise_rngs)):
-            out[i] = predict_position(s, horizon, noise_var, g)
+        xy = self._xy if horizon == 0.0 else self._displace(horizon)[0]
+        out = xy.T.copy()
+        if noise_var > 0.0:
+            sigma = math.sqrt(noise_var)
+            out += np.array([g.normal(0.0, sigma, 2) for g in self._noise_rngs])
         return out
 
 
@@ -337,8 +467,9 @@ def trajectory_rows(
 
     def rows():
         for _ in range(n_steps + 1):
-            for s in fleet.nodes:
-                yield fleet.time, s.node_id, s.x, s.y, s.mode.value
+            xs, ys = fleet._xy.tolist()
+            modes = (_mode(linear).value for linear in fleet._linear.tolist())
+            yield from zip(repeat(fleet.time), range(n), xs, ys, modes)
             fleet.advance()
 
     return rows()

@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -194,8 +194,11 @@ class ExperimentResult:
     weights as the ``hop_count`` and ``distance`` rows, so a corridor
     evaluated there describes the population those rows average.
     ``session_counts`` maps ``(value, algorithm.value)`` to the pooled
-    ``(delivered, attempted)`` session counts behind ``success_rate``.
-    Neither of the last two appears in the CSV or the provenance JSON.
+    ``(delivered, attempted)`` session counts behind ``success_rate``, and
+    ``status_counts`` maps the same keys to the pooled count of sessions
+    ending in each :class:`SessionStatus` (every status present, zeros
+    included).  None of the last three appears in the CSV or the
+    provenance JSON.
     """
 
     rows: tuple[ResultRow, ...]
@@ -203,6 +206,7 @@ class ExperimentResult:
     cell_mean_d: dict
     delivered_mean_d: dict
     session_counts: dict
+    status_counts: dict
 
     def get(self, value, algorithm: Algorithm, metric: str) -> ResultRow:
         for row in self.rows:
@@ -305,9 +309,11 @@ class _AlgStats:
     dist_sum: float = 0.0
     delivered_d_sum: float = 0.0
     power_total: float = 0.0
+    statuses: dict = field(default_factory=lambda: dict.fromkeys(SessionStatus, 0))
 
     def add(self, out: SessionOutcome) -> None:
         self.sessions += 1
+        self.statuses[out.status] += 1
         self.power_total += out.total_power
         if out.delivered:
             self.delivered += 1
@@ -415,6 +421,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     cell_mean_d: dict = {}
     delivered_mean_d: dict = {}
     session_counts: dict = {}
+    status_counts: dict = {}
     for si, value in enumerate(cfg.sweep.values):
         cell = results[si * cfg.runs : (si + 1) * cfg.runs]
         net, _ = _cell_params(cfg, value)
@@ -443,6 +450,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 sum(r.delivered for r in per_run),
                 sum(r.sessions for r in per_run),
             )
+            status_counts[value, alg.value] = {
+                status: sum(r.statuses[status] for r in per_run)
+                for status in SessionStatus
+            }
             for metric, values in (
                 ("success_rate", success),
                 ("hop_count", hops),
@@ -470,6 +481,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         cell_mean_d=cell_mean_d,
         delivered_mean_d=delivered_mean_d,
         session_counts=session_counts,
+        status_counts=status_counts,
     )
 
 

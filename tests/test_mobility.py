@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from fanetsim import mobility
 from fanetsim.mobility import (
     Fleet,
     MobilityConfig,
@@ -234,6 +236,117 @@ class TestFleet:
         assert np.array_equal(fleet.true_positions(), fleet.predicted_positions())
 
 
+def _reference_run(cfg, n, seed, n_steps, order):
+    """Per-node ``step``/``predict_position`` states and positions after
+    each of 0..n_steps steps, stepping the nodes in ``order``."""
+    states = dict(enumerate(init_deployment(cfg, n, seed)))
+    motion = {i: node_rng(seed, i, 1) for i in range(n)}
+    noise = {i: node_rng(seed, i, 2) for i in range(n)}
+    for k in range(n_steps + 1):
+        if k:
+            for i in order:
+                states[i] = step(states[i], cfg, motion[i])
+        predicted = {
+            i: predict_position(
+                states[i], cfg.horizon, cfg.prediction_noise_var, noise[i]
+            )
+            for i in order
+        }
+        nodes = [states[i] for i in range(n)]
+        yield (
+            nodes,
+            np.array([(s.x, s.y) for s in nodes]),
+            np.array([predicted[i] for i in range(n)]),
+        )
+
+
+def _bits(a):
+    assert a.dtype == np.float64 and a.ndim == 2 and a.shape[1] == 2
+    return a.tobytes()
+
+
+def _assert_fleet_is_reference(cfg, n, seed, n_steps, order):
+    fleet = Fleet(cfg, n, seed)
+    assert fleet.n_nodes == n
+    for k, (nodes, true, predicted) in enumerate(
+        _reference_run(cfg, n, seed, n_steps, order)
+    ):
+        if k:
+            fleet.advance()
+        assert fleet.time == k * cfg.time_step
+        assert fleet.nodes == nodes
+        assert repr(fleet.nodes) == repr(nodes)  # also tells -0.0 from 0.0
+        assert _bits(fleet.true_positions()) == _bits(true)
+        assert _bits(fleet.predicted_positions()) == _bits(predicted)
+
+
+class TestFleetMatchesReference:
+    """The array fleet is the per-node reference, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_order=st.integers(2, 50).flatmap(
+            lambda n: st.permutations(range(n)).map(lambda p: (n, p))
+        ),
+        n_steps=st.integers(0, 40),
+        area_side=st.sampled_from([50.0, 400.0, 10_000.0]),
+        mean_speed=st.sampled_from([0.0, 20.0, 300.0]),
+        mean_turn_radius=st.sampled_from([5.0, 500.0]),
+        mean_wait=st.sampled_from([0.5, 20.0]),
+        time_step=st.sampled_from([0.5, 1.0, 5.0]),
+        transition_prob=st.sampled_from([0.0, 0.2, 1.0]),
+        prediction_noise_var=st.sampled_from([0.0, 10.0]),
+        prediction_horizon=st.sampled_from([None, 0.0, 7.0]),
+    )
+    # 300 m/s for 5 s on a 50 m square: dozens of wall reflections per step
+    @example(
+        seed=3, n_order=(6, [5, 0, 3, 1, 4, 2]), n_steps=40, area_side=50.0,
+        mean_speed=300.0, mean_turn_radius=500.0, mean_wait=0.5, time_step=5.0,
+        transition_prob=1.0, prediction_noise_var=10.0, prediction_horizon=None,
+    )
+    @example(
+        seed=0, n_order=(2, [1, 0]), n_steps=10, area_side=400.0,
+        mean_speed=0.0, mean_turn_radius=5.0, mean_wait=0.5, time_step=1.0,
+        transition_prob=0.0, prediction_noise_var=0.0, prediction_horizon=0.0,
+    )
+    def test_fleet_equals_per_node_reference(self, seed, n_order, n_steps, **kw):
+        n, order = n_order
+        _assert_fleet_is_reference(MobilityConfig(**kw), n, seed, n_steps, order)
+
+    @pytest.fixture
+    def built_streams(self, monkeypatch):
+        """(node_id, stream) of every generator ``mobility`` builds."""
+        built = []
+        original = mobility.node_rng
+
+        def counted(seed, node_id, stream=0):
+            built.append((node_id, stream))
+            return original(seed, node_id, stream)
+
+        monkeypatch.setattr(mobility, "node_rng", counted)
+        return built
+
+    def test_no_renewal_builds_no_motion_stream(self, built_streams):
+        cfg = MobilityConfig(mean_wait=1e12, area_side=500.0)
+        _assert_fleet_is_reference(cfg, 8, 4, 30, range(8))
+        assert 1 not in {stream for _, stream in built_streams}
+
+    def test_motion_streams_built_at_first_renewal_only(self, built_streams):
+        fleet = Fleet(MobilityConfig(mean_wait=0.5), 8, 4)
+        for _ in range(30):
+            fleet.advance()
+        motion = [node_id for node_id, stream in built_streams if stream == 1]
+        assert sorted(motion) == list(range(8))  # every node renewed, once built
+
+    def test_nodes_is_a_view(self):
+        fleet = Fleet(MobilityConfig(), 4, 1)
+        fleet.nodes[0] = None
+        assert fleet.nodes[0] is not None
+        with pytest.raises(AttributeError):
+            fleet.nodes = []
+
+
 def test_trajectory_rows_rejects_negative_steps():
     with pytest.raises(ValueError, match="n_steps"):
         trajectory_rows(MobilityConfig(), 3, 11, -1)
@@ -249,3 +362,20 @@ def test_trajectory_rows_shape_and_bounds():
         assert 0.0 <= x <= 1_000.0
         assert 0.0 <= y <= 1_000.0
         assert mode in ("linear", "circular")
+
+
+def test_trajectory_rows_equal_stepped_reference():
+    cfg = MobilityConfig(area_side=800.0, mean_speed=120.0, mean_wait=3.0)
+    n, n_steps, seed = 5, 60, 2
+    expected = []
+    states = init_deployment(cfg, n, seed)
+    rngs = [node_rng(seed, i, 1) for i in range(n)]
+    for k in range(n_steps + 1):
+        if k:
+            states = [step(s, cfg, g) for s, g in zip(states, rngs)]
+        expected += [
+            (k * cfg.time_step, s.node_id, s.x, s.y, s.mode.value) for s in states
+        ]
+    rows = list(trajectory_rows(cfg, n, seed, n_steps))
+    assert rows == expected
+    assert {type(v) for row in rows for v in row} == {float, int, str}

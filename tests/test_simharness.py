@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fanetsim import analysis
 from fanetsim.analysis import NetworkParams, bounds_report, hop_bounds
 from fanetsim.mobility import Fleet, MobilityConfig
-from fanetsim.routing import PathWeight, route_greedy
+from fanetsim.routing import PathWeight, SessionStatus, route_greedy
 from fanetsim.simharness import (
     Algorithm,
     ConfigError,
@@ -177,6 +177,41 @@ class TestMetrics:
         assert all(len(line.split(",")) == 8 for line in lines)
         text = res.provenance()
         assert "delivered" not in text and "session_counts" not in text
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n_nodes=st.integers(3, 14),
+        speeds=st.lists(
+            st.sampled_from([0.0, 30.0, 300.0]), min_size=1, max_size=2, unique=True
+        ),
+        algorithms=st.permutations(tuple(Algorithm)).flatmap(
+            lambda p: st.integers(1, 3).map(lambda k: tuple(p[:k]))
+        ),
+        runs=st.integers(1, 3),
+        max_hops=st.integers(0, 3),
+    )
+    def test_status_counts_add_up(
+        self, seed, n_nodes, speeds, algorithms, runs, max_hops
+    ):
+        cfg = small_config(
+            net=NetworkParams(n_nodes, 10_000.0, 3_000.0),
+            mobility=MobilityConfig(time_step=30.0),
+            sweep=SweepSpec("mean_speed", tuple(speeds)),
+            algorithms=algorithms,
+            runs=runs,
+            sessions_per_run=min(6, n_nodes * (n_nodes - 1)),
+            max_hops=max_hops,
+            seed=seed,
+        )
+        res = run_experiment(cfg)
+        assert res.status_counts.keys() == res.session_counts.keys()
+        for key, counts in res.status_counts.items():
+            delivered, attempted = res.session_counts[key]
+            assert list(counts) == list(SessionStatus)
+            assert sum(counts.values()) == attempted
+            assert counts[SessionStatus.DELIVERED] == delivered
+        assert "status" not in res.to_csv() + res.provenance()
 
     def test_bounds_are_the_cell_bounds_report(self):
         cfg = small_config()

@@ -163,6 +163,22 @@ class TestTrace:
         with pytest.raises(IndexError):
             lazy.snapshot(-1)
 
+    @pytest.mark.parametrize("horizon", [None, 0.0])
+    def test_recorded_snapshot_keeps_its_positions(self, horizon):
+        # renewals write into the fleet's arrays in place; a snapshot must
+        # hold copies, including zero-horizon, noise-free predictions
+        cfg = MobilityConfig(
+            mean_wait=0.5, prediction_noise_var=0.0, prediction_horizon=horizon
+        )
+        fleet = Fleet(cfg, 12, 7)
+        snap = ContactSnapshot.of_fleet(fleet, 1_000.0)
+        true, predicted = snap.true_positions.copy(), snap.predicted_positions.copy()
+        for _ in range(20):
+            fleet.advance()
+        assert not np.array_equal(fleet.true_positions(), true)
+        assert np.array_equal(snap.true_positions, true)
+        assert np.array_equal(snap.predicted_positions, predicted)
+
     def test_exhaustion_raises(self):
         trace = self.make_trace(1)
         cur = trace.cursor()
