@@ -13,12 +13,15 @@ nodes can be stepped independently in any order; these streams are the
 reproducibility contract.  ``Fleet`` steps the whole deployment as
 arrays (kinematics, reflection and prediction are a few array operations
 per step) and draws from a node's stream only when that node renews or
-is predicted with noise.  ``step`` and ``predict_position`` move one
-``NodeState`` and are the reference the fleet matches bit for bit.
+is predicted with noise.  It seeds all of its streams in one array pass
+over SeedSequence's hashing, equal to ``node_rng`` bit for bit.  ``step``
+and ``predict_position`` move one ``NodeState`` and are the reference the
+fleet matches bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -41,6 +44,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_MAX_SIDES_PER_STEP = 1000  # mean travel per step, in square sides
 
 # Stream namespaces for per-node generators.
 _STREAM_INIT = 0
@@ -96,6 +100,14 @@ class MobilityConfig:
             raise ValueError(
                 f"prediction_horizon must be >= 0, got {self.prediction_horizon!r}"
             )
+        # Reflection folds off one wall per pass, so its cost grows with the
+        # travel per step; past ~2**53 sides it would never end.
+        if self.mean_speed * self.time_step > _MAX_SIDES_PER_STEP * self.area_side:
+            raise ValueError(
+                f"mean_speed * time_step must be <= {_MAX_SIDES_PER_STEP} * "
+                f"area_side, got {self.mean_speed!r} * {self.time_step!r} "
+                f"on area_side {self.area_side!r}"
+            )
 
     @property
     def horizon(self) -> float:
@@ -139,6 +151,82 @@ def node_rng(seed, node_id: int, stream: int = _STREAM_INIT) -> np.random.Genera
     )
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _entropy_words(entropy) -> int:
+    """Length of numpy's uint32 coercion of an int or (nested) int sequence."""
+    if isinstance(entropy, (int, np.integer)):
+        return max(1, -(-int(entropy).bit_length() // 32))
+    return sum(map(_entropy_words, entropy))
+
+
+def _hash_rounds(h: int, mult: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """XOR and multiplier of ``k`` successive SeedSequence hash rounds
+    from hash constant ``h``: each round XORs its word with ``h``, then
+    advances ``h *= mult`` and multiplies the word by the new ``h``."""
+    hs = [h]
+    for _ in range(k):
+        hs.append(hs[-1] * mult & _MASK32)
+    hs = np.array(hs, dtype=np.uint32)
+    return hs[:-1], hs[1:]
+
+
+def _stream_words(seed, n: int) -> np.ndarray:
+    """PCG64 seed words of every stream of an ``n``-node fleet: row
+    ``[stream, node]`` is what ``node_rng(seed, node, stream)`` seeds its
+    PCG64 with, bit for bit.
+
+    This is SeedSequence's hashing with spawn key ``(node, stream)``, done
+    over all streams at once.  The pool of the run entropy alone is shared
+    by every stream, so it comes from numpy.  Each key word then mixes into
+    each pool word with its own hash round, whose constants depend only on
+    how many rounds the entropy took before it.
+    """
+    base = np.random.SeedSequence(seed)
+    rounds = 16 + 4 * max(0, _entropy_words(base.entropy) - 4)
+    h = _INIT_A * pow(_MULT_A, rounds, 1 << 32) & _MASK32
+    xor, mul = _hash_rounds(h, _MULT_A, 8)
+    keys = (
+        np.arange(n, dtype=np.uint32)[:, None],
+        np.arange(3, dtype=np.uint32)[:, None, None],
+    )
+    pool = base.pool
+    for word, x, m in zip(keys, xor.reshape(2, 4), mul.reshape(2, 4)):
+        mixin = (word ^ x) * m
+        mixin ^= mixin >> 16
+        pool = _MIX_L * pool - _MIX_R * mixin
+        pool ^= pool >> 16
+    # generate_state(4, np.uint64): 8 output rounds, cycling over the pool
+    xor, mul = _hash_rounds(_INIT_B, _MULT_B, 8)
+    state = (np.tile(pool, 2) ^ xor) * mul
+    state ^= state >> 16
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """An ``ISeedSequence`` that hands PCG64 ready-made seed words.
+
+    Built on first use: importing ``numpy.random`` at module level would
+    add it to every ``import fanetsim``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
+
+
 def _renewal_draw(
     linear: bool, cfg: MobilityConfig, rng: np.random.Generator
 ) -> tuple[float, float, float, float, float, float]:
@@ -162,13 +250,13 @@ def _renewal_draw(
     return speed, sojourn, 0.0, turn_radius, phase, direction * speed / turn_radius
 
 
-def _deploy(cfg: MobilityConfig, n: int, seed) -> list[tuple]:
-    """Per node, ``(x, y, linear, *renewal draw)`` from its init stream."""
-    if n < 2:
-        raise ValueError(f"need at least 2 nodes, got {n!r}")
+def _deploy(cfg: MobilityConfig, rngs: list[np.random.Generator]) -> list[tuple]:
+    """Per node, ``(x, y, linear, *renewal draw)`` from its init stream
+    ``rngs[node]``."""
+    if len(rngs) < 2:
+        raise ValueError(f"need at least 2 nodes, got {len(rngs)!r}")
     rows = []
-    for i in range(n):
-        rng = node_rng(seed, i, _STREAM_INIT)
+    for rng in rngs:
         x = cfg.area_side * rng.random()
         y = cfg.area_side * rng.random()
         linear = rng.random() < 0.5
@@ -184,7 +272,9 @@ def init_deployment(cfg: MobilityConfig, n: int, seed) -> list[NodeState]:
     """Uniform i.i.d. positions on the square, equiprobable initial modes."""
     return [
         NodeState(i, x, y, _mode(linear), MobilityParams(*draw))
-        for i, (x, y, linear, *draw) in enumerate(_deploy(cfg, n, seed))
+        for i, (x, y, linear, *draw) in enumerate(
+            _deploy(cfg, [node_rng(seed, i, _STREAM_INIT) for i in range(n)])
+        )
     ]
 
 
@@ -328,13 +418,17 @@ class Fleet:
     each node has its own motion stream, created at its first renewal, and
     its own prediction-noise stream, so a fixed seed reproduces
     trajectories exactly regardless of what else is sampled around the
-    fleet.  ``step`` and ``predict_position`` are the per-node reference.
+    fleet.  The seed words of all three streams of every node are hashed
+    at once on construction (``_stream_words``); each generator equals
+    ``node_rng(seed, node, stream)`` bit for bit.  ``step`` and
+    ``predict_position`` are the per-node reference.
     """
 
     def __init__(self, cfg: MobilityConfig, n: int, seed):
         self.cfg = cfg
-        self._seed = seed
-        x, y, linear, *draw = (np.array(c) for c in zip(*_deploy(cfg, n, seed)))
+        self._words = _stream_words(seed, n)
+        init = [self._rng(i, _STREAM_INIT) for i in range(n)]
+        x, y, linear, *draw = (np.array(c) for c in zip(*_deploy(cfg, init)))
         self._xy = np.array((x, y))  # row 0 is x, row 1 is y
         self._linear = linear
         (
@@ -347,8 +441,13 @@ class Fleet:
         ) = draw
         self._time_in_state = np.zeros(n)
         self._motion_rngs: list[np.random.Generator | None] = [None] * n
-        self._noise_rngs = [node_rng(seed, i, _STREAM_NOISE) for i in range(n)]
+        self._noise_rngs = [self._rng(i, _STREAM_NOISE) for i in range(n)]
         self.time = 0.0
+
+    def _rng(self, node_id: int, stream: int) -> np.random.Generator:
+        """``node_rng(seed, node_id, stream)``, from the words hashed at init."""
+        words = _seed_words_type()(self._words[stream, node_id])
+        return np.random.Generator(np.random.PCG64(words))
 
     @property
     def n_nodes(self) -> int:
@@ -424,7 +523,7 @@ class Fleet:
         for i, linear in zip(due.tolist(), self._linear[due].tolist()):
             rng = rngs[i]
             if rng is None:
-                rng = rngs[i] = node_rng(self._seed, i, _STREAM_MOTION)
+                rng = rngs[i] = self._rng(i, _STREAM_MOTION)
             if rng.random() < cfg.transition_prob:
                 linear = not linear
             rows.append((linear, *_renewal_draw(linear, cfg, rng)))

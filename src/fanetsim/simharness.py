@@ -89,8 +89,8 @@ _PAIR_STREAM = 1_000_003
 
 
 class ConfigError(ValueError):
-    """Bad configuration: a file, key or value, or sessions that a swept
-    cell cannot draw."""
+    """Bad configuration: a file, key or value, a swept value its cell
+    rejects, or sessions that a swept cell cannot draw."""
 
 
 class Algorithm(Enum):
@@ -399,7 +399,10 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # Not checked in ExperimentConfig: the figure functions replace the sweep.
     for value in cfg.sweep.values:
-        net, _ = _cell_params(cfg, value)
+        try:
+            net, _ = _cell_params(cfg, value)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if cfg.sessions_per_run > net.n_nodes * (net.n_nodes - 1):
             raise ConfigError(
                 f"sessions_per_run={cfg.sessions_per_run} exceeds the number "

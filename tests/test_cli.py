@@ -259,6 +259,15 @@ class TestFigureCommands:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "fig3.csv").exists()
 
+    def test_swept_speed_too_fast_for_the_square_exits_2(self, tmp_path, capsys):
+        # 50 m/s x 30 s is within 1000 sides of a 2 m square; 70 m/s is not
+        code = main(["fig5", "--runs", "1", "--out", str(tmp_path),
+                     "--set", "net.area_side=2", "--set", "net.comm_range=1"])
+        assert code == 2
+        assert ("config error: mean_speed * time_step must be <= 1000 * "
+                "area_side, got 70.0 * 30.0") in capsys.readouterr().err
+        assert not (tmp_path / "fig5.csv").exists()
+
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         out = tmp_path / "from_env"
         monkeypatch.setenv("FANETSIM_OUTDIR", str(out))
@@ -322,3 +331,13 @@ class TestTraceCommand:
         code = main(["trace", "--seed", "2", "--n", "2", "--steps", "1"])
         assert code == 0
         assert capsys.readouterr().out.startswith("t,node_id,x,y,mode")
+
+    def test_speed_too_fast_for_the_square_exits_2(self, capsys):
+        # 1e10 m/s crosses a million sides per step: the fold crawled for
+        # seconds, and at 1e22 it never ended
+        code = main(["trace", "--n", "2", "--steps", "1", "--seed", "1",
+                     "--set", "mobility.mean_speed=1e10"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "config error: mean_speed * time_step must be <= 1000" in captured.err
+        assert captured.out == ""

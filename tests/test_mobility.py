@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fanetsim import mobility
 from fanetsim.mobility import (
     Fleet,
     MobilityConfig,
@@ -72,6 +71,18 @@ class TestConfig:
     def test_non_finite_and_negative_horizon_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             MobilityConfig(**{field: value})
+
+    def test_travel_per_step_bounded(self):
+        # the wall reflection folds once per side crossed, so a step's
+        # travel is capped at 1000 sides; 1e22 m/s used to never finish
+        MobilityConfig(area_side=50.0, mean_speed=10_000.0, time_step=5.0)
+        for kw in (
+            dict(area_side=50.0, mean_speed=10_001.0, time_step=5.0),
+            dict(mean_speed=1e10),
+            dict(mean_speed=1e22),
+        ):
+            with pytest.raises(ValueError, match=r"mean_speed \* time_step"):
+                MobilityConfig(**kw)
 
     def test_horizon_defaults_to_time_step(self):
         assert MobilityConfig(time_step=2.5).horizon == 2.5
@@ -316,15 +327,15 @@ class TestFleetMatchesReference:
 
     @pytest.fixture
     def built_streams(self, monkeypatch):
-        """(node_id, stream) of every generator ``mobility`` builds."""
+        """(node_id, stream) of every generator a ``Fleet`` builds."""
         built = []
-        original = mobility.node_rng
+        original = Fleet._rng
 
-        def counted(seed, node_id, stream=0):
+        def counted(fleet, node_id, stream):
             built.append((node_id, stream))
-            return original(seed, node_id, stream)
+            return original(fleet, node_id, stream)
 
-        monkeypatch.setattr(mobility, "node_rng", counted)
+        monkeypatch.setattr(Fleet, "_rng", counted)
         return built
 
     def test_no_renewal_builds_no_motion_stream(self, built_streams):
@@ -345,6 +356,31 @@ class TestFleetMatchesReference:
         assert fleet.nodes[0] is not None
         with pytest.raises(AttributeError):
             fleet.nodes = []
+
+
+# Run entropies as numpy coerces them: ints of 1-6 uint32 words, and tuples
+# of up to 6 ints, so pools fed by more than 4 words are drawn too.
+_ENTROPY = st.one_of(
+    st.integers(0, 2**190),
+    st.lists(st.integers(0, 2**70), max_size=6).map(tuple),
+)
+
+
+class TestBatchSeeding:
+    """A fleet seeds all its streams in one pass, each equal to ``node_rng``."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=_ENTROPY, n=st.integers(2, 400), k=st.integers(1, 4))
+    @example(seed=2**32, n=2, k=1)
+    @example(seed=2**70, n=3, k=1)
+    @example(seed=(2**64, 2**33, 7, 1, 0, 5), n=400, k=2)  # 9 coerced words
+    def test_every_stream_draws_as_node_rng(self, seed, n, k):
+        fleet = Fleet(MobilityConfig(), n, seed)
+        for stream in range(3):
+            for i in range(n):
+                ours, ref = fleet._rng(i, stream), node_rng(seed, i, stream)
+                assert ours.random(k).tobytes() == ref.random(k).tobytes()
+                assert repr(ours.normal()) == repr(ref.normal())
 
 
 def test_trajectory_rows_rejects_negative_steps():

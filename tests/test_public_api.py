@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,3 +31,16 @@ def test_package_reexports_resolve():
         or not hasattr(fanetsim, alias.asname or alias.name)
     ]
     assert missing == []
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random adds import time and resident memory to every command;
+    # mobility builds its seeding helpers on first use instead
+    src = str(Path(fanetsim.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, fanetsim.cli; sys.exit('numpy.random' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 0
