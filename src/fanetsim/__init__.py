@@ -30,7 +30,7 @@ from .geometry import (
     progress_cdf,
     progress_tail,
 )
-from .mobility import Fleet, MobilityConfig, MobilityMode, NodeState
+from .mobility import Fleet, MobilityConfig, MobilityMode
 from .routing import (
     HopRecord,
     PathWeight,

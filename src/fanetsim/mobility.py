@@ -14,34 +14,24 @@ reproducibility contract.  ``Fleet`` steps the whole deployment as
 arrays (kinematics, reflection and prediction are a few array operations
 per step) and draws from a node's stream only when that node renews or
 is predicted with noise.  It seeds all of its streams in one array pass
-over SeedSequence's hashing, equal to ``node_rng`` bit for bit.  ``step``
-and ``predict_position`` move one ``NodeState`` and are the reference the
-fleet matches bit for bit.
+over SeedSequence's hashing; each stream is bit for bit
+``default_rng(SeedSequence(seed, spawn_key=(node_id, stream)))``.  The
+per-node reference that the fleet matches bit for bit is a test oracle,
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import repeat
 from typing import Iterator
 
 import numpy as np
 
-__all__ = [
-    "Fleet",
-    "MobilityConfig",
-    "MobilityMode",
-    "MobilityParams",
-    "NodeState",
-    "init_deployment",
-    "node_rng",
-    "predict_position",
-    "step",
-    "trajectory_rows",
-]
+__all__ = ["Fleet", "MobilityConfig", "MobilityMode", "trajectory_rows"]
 
 _TWO_PI = 2.0 * math.pi
 _MAX_SIDES_PER_STEP = 1000  # mean travel per step, in square sides
@@ -118,39 +108,6 @@ class MobilityConfig:
         )
 
 
-@dataclass(frozen=True)
-class MobilityParams:
-    """Parameters drawn at a renewal; constant until the next renewal.
-
-    ``heading`` applies in linear mode; ``turn_radius``, ``phase`` (current
-    angle on the orbit) and signed ``angular_speed`` apply in circular mode.
-    """
-
-    speed: float
-    sojourn: float
-    heading: float = 0.0
-    turn_radius: float = 0.0
-    phase: float = 0.0
-    angular_speed: float = 0.0
-
-
-@dataclass(frozen=True)
-class NodeState:
-    node_id: int
-    x: float
-    y: float
-    mode: MobilityMode
-    params: MobilityParams
-    time_in_state: float = 0.0
-
-
-def node_rng(seed, node_id: int, stream: int = _STREAM_INIT) -> np.random.Generator:
-    """Generator for one node's private stream; `seed` may be an int or tuple."""
-    return np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(node_id, stream))
-    )
-
-
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -178,8 +135,8 @@ def _hash_rounds(h: int, mult: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _stream_words(seed, n: int) -> np.ndarray:
     """PCG64 seed words of every stream of an ``n``-node fleet: row
-    ``[stream, node]`` is what ``node_rng(seed, node, stream)`` seeds its
-    PCG64 with, bit for bit.
+    ``[stream, node]`` is what ``SeedSequence(seed, spawn_key=(node,
+    stream))`` seeds a PCG64 with, bit for bit.
 
     This is SeedSequence's hashing with spawn key ``(node, stream)``, done
     over all streams at once.  The pool of the run entropy alone is shared
@@ -264,139 +221,17 @@ def _deploy(cfg: MobilityConfig, rngs: list[np.random.Generator]) -> list[tuple]
     return rows
 
 
-def _mode(linear: bool) -> MobilityMode:
-    return MobilityMode.LINEAR if linear else MobilityMode.CIRCULAR
-
-
-def init_deployment(cfg: MobilityConfig, n: int, seed) -> list[NodeState]:
-    """Uniform i.i.d. positions on the square, equiprobable initial modes."""
-    return [
-        NodeState(i, x, y, _mode(linear), MobilityParams(*draw))
-        for i, (x, y, linear, *draw) in enumerate(
-            _deploy(cfg, [node_rng(seed, i, _STREAM_INIT) for i in range(n)])
-        )
-    ]
-
-
-def _fold(v: float, side: float) -> tuple[float, bool]:
-    """Reflect a coordinate into [0, side]; flag whether an odd number of
-    wall reflections happened (the velocity component must then mirror)."""
-    flipped = False
-    while v < 0.0 or v > side:
-        v = -v if v < 0.0 else 2.0 * side - v
-        flipped = not flipped
-    return v, flipped
-
-
-def _displace(state: NodeState, dt: float) -> tuple[float, float, float]:
-    """Raw (x, y, orbit phase) after dt, before boundary handling."""
-    p = state.params
-    if state.mode is MobilityMode.LINEAR:
-        return (
-            state.x + p.speed * dt * math.cos(p.heading),
-            state.y + p.speed * dt * math.sin(p.heading),
-            p.phase,
-        )
-    new_phase = p.phase + p.angular_speed * dt
-    x = state.x + p.turn_radius * (math.cos(new_phase) - math.cos(p.phase))
-    y = state.y + p.turn_radius * (math.sin(new_phase) - math.sin(p.phase))
-    return x, y, new_phase
-
-
-def step(
-    state: NodeState, cfg: MobilityConfig, rng: np.random.Generator
-) -> NodeState:
-    """Advance one node by one time step.
-
-    Moves analytically under the current mode, reflects off the square's
-    walls (heading mirrored in linear mode; orbit phase mirrored and spin
-    reversed in circular mode, which re-centers the orbit), then performs
-    a Markov renewal once the time in the current state reaches its sojourn.
-    """
-    dt = cfg.time_step
-    x, y, phase = _displace(state, dt)
-    x, flip_x = _fold(x, cfg.area_side)
-    y, flip_y = _fold(y, cfg.area_side)
-    params = state.params
-    if state.mode is MobilityMode.LINEAR:
-        if flip_x or flip_y:
-            heading = params.heading
-            if flip_x:
-                heading = math.pi - heading
-            if flip_y:
-                heading = -heading
-            params = replace(params, heading=heading % _TWO_PI)
-    else:
-        phase %= _TWO_PI
-        omega = params.angular_speed
-        if flip_x:
-            phase = math.pi - phase
-            omega = -omega
-        if flip_y:
-            phase = -phase
-            omega = -omega
-        if flip_x or flip_y:
-            phase %= _TWO_PI
-        params = replace(params, phase=phase, angular_speed=omega)
-
-    time_in_state = state.time_in_state + dt
-    mode = state.mode
-    if time_in_state >= params.sojourn:
-        if rng.random() < cfg.transition_prob:
-            mode = (
-                MobilityMode.CIRCULAR
-                if mode is MobilityMode.LINEAR
-                else MobilityMode.LINEAR
-            )
-        params = MobilityParams(*_renewal_draw(mode is MobilityMode.LINEAR, cfg, rng))
-        time_in_state = 0.0
-
-    return NodeState(
-        node_id=state.node_id,
-        x=x,
-        y=y,
-        mode=mode,
-        params=params,
-        time_in_state=time_in_state,
-    )
-
-
-def predict_position(
-    state: NodeState,
-    horizon: float,
-    noise_var: float,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, float]:
-    """Model-based position estimate ``horizon`` seconds ahead, plus noise.
-
-    Extrapolates the current mode's deterministic kinematics (no renewals,
-    no wall reflections are anticipated) and adds independent zero-mean
-    Gaussian noise of per-axis variance ``noise_var``.
-    """
-    if horizon < 0.0:
-        raise ValueError(f"horizon must be >= 0, got {horizon!r}")
-    if horizon == 0.0:
-        x, y = state.x, state.y
-    else:
-        x, y, _ = _displace(state, horizon)
-    if noise_var > 0.0:
-        if rng is None:
-            raise ValueError("rng required when noise_var > 0")
-        sigma = math.sqrt(noise_var)
-        x += float(rng.normal(0.0, sigma))
-        y += float(rng.normal(0.0, sigma))
-    return x, y
-
-
 def _unit(angle: np.ndarray) -> np.ndarray:
     """Rows ``cos a`` and ``sin a``.  ``tests/test_mobility.py`` checks
-    that numpy's cos/sin give ``math``'s results, as ``step`` uses."""
+    that numpy's cos/sin give ``math``'s results, as the per-node reference
+    in ``tests/oracles.py`` uses."""
     return np.array((np.cos(angle), np.sin(angle)))
 
 
 def _fold_all(v: np.ndarray, side: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """``_fold`` over every coordinate at once: the reflected coordinates and
-    each one's odd-reflection flag, or None if all stayed inside."""
+    """Reflect every coordinate into [0, side]: the reflected coordinates and
+    whether each one reflected an odd number of times (its velocity component
+    then mirrors), or None if all stayed inside."""
     out = (v < 0.0) | (v > side)
     if not out.any():
         return v, None
@@ -414,14 +249,13 @@ class Fleet:
     State is held as one array per quantity (position, mode, speed,
     sojourn, heading, turn radius, orbit phase, signed angular speed, time
     in state), so a step moves every node in a few array operations with
-    the same float operations as ``step``.  Random draws stay per node:
+    the same float operations as the per-node reference in
+    ``tests/oracles.py``.  Random draws stay per node:
     each node has its own motion stream, created at its first renewal, and
     its own prediction-noise stream, so a fixed seed reproduces
     trajectories exactly regardless of what else is sampled around the
     fleet.  The seed words of all three streams of every node are hashed
-    at once on construction (``_stream_words``); each generator equals
-    ``node_rng(seed, node, stream)`` bit for bit.  ``step`` and
-    ``predict_position`` are the per-node reference.
+    at once on construction (``_stream_words``).
     """
 
     def __init__(self, cfg: MobilityConfig, n: int, seed):
@@ -445,7 +279,7 @@ class Fleet:
         self.time = 0.0
 
     def _rng(self, node_id: int, stream: int) -> np.random.Generator:
-        """``node_rng(seed, node_id, stream)``, from the words hashed at init."""
+        """The generator of one node's stream, from the words hashed at init."""
         words = _seed_words_type()(self._words[stream, node_id])
         return np.random.Generator(np.random.PCG64(words))
 
@@ -453,32 +287,9 @@ class Fleet:
     def n_nodes(self) -> int:
         return len(self._linear)
 
-    @property
-    def nodes(self) -> list[NodeState]:
-        """The per-node states, built from the arrays on each read."""
-        params = np.array(
-            (
-                self._speed,
-                self._sojourn,
-                self._heading,
-                self._turn_radius,
-                self._phase,
-                self._angular_speed,
-            )
-        ).T.tolist()
-        rows = zip(
-            *self._xy.tolist(),
-            self._linear.tolist(),
-            self._time_in_state.tolist(),
-            params,
-        )
-        return [
-            NodeState(i, x, y, _mode(linear), MobilityParams(*p), t)
-            for i, (x, y, linear, t, p) in enumerate(rows)
-        ]
-
     def _displace(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """``_displace`` for every node: raw positions and orbit phases."""
+        """Raw positions and orbit phases of every node after dt, before
+        boundary handling."""
         phase = self._phase
         new_phase = phase + self._angular_speed * dt
         line = self._speed * dt * _unit(self._heading)
@@ -486,7 +297,9 @@ class Fleet:
         return self._xy + np.where(self._linear, line, arc), new_phase
 
     def advance(self) -> None:
-        """``step`` for every node: move, reflect, then renew where due."""
+        """Advance every node by one time step: move, reflect off the walls
+        (heading mirrored; orbit phase mirrored and spin reversed), then
+        renew each node whose time in state reaches its sojourn."""
         dt = self.cfg.time_step
         xy, phase = self._displace(dt)
         # Linear nodes keep phase and spin 0, so this leaves their phase 0.
@@ -516,7 +329,8 @@ class Fleet:
         self.time += dt
 
     def _renew(self, due: np.ndarray) -> None:
-        """``step``'s Markov renewal for each due node, from its own stream."""
+        """The Markov renewal of each due node, from its own motion stream:
+        switch mode with ``transition_prob``, then redraw the parameters."""
         cfg = self.cfg
         rngs = self._motion_rngs
         rows = []
@@ -542,7 +356,9 @@ class Fleet:
         return self._xy.T.copy()
 
     def predicted_positions(self) -> np.ndarray:
-        """``predict_position`` for every node; noise is drawn per node."""
+        """Every node's current kinematics extrapolated ``cfg.horizon``
+        seconds ahead (no renewal or reflection is anticipated), plus
+        per-node Gaussian noise of per-axis variance ``prediction_noise_var``."""
         horizon = self.cfg.horizon
         noise_var = self.cfg.prediction_noise_var
         xy = self._xy if horizon == 0.0 else self._displace(horizon)[0]
@@ -567,7 +383,10 @@ def trajectory_rows(
     def rows():
         for _ in range(n_steps + 1):
             xs, ys = fleet._xy.tolist()
-            modes = (_mode(linear).value for linear in fleet._linear.tolist())
+            modes = (
+                (MobilityMode.LINEAR if linear else MobilityMode.CIRCULAR).value
+                for linear in fleet._linear.tolist()
+            )
             yield from zip(repeat(fleet.time), range(n), xs, ys, modes)
             fleet.advance()
 

@@ -138,7 +138,7 @@ def _forward(sim, source: int, dest: int, max_hops: int, choose) -> SessionOutco
     relay of hop k, or None when there is none; the hop then occupies one
     time step of ``sim`` and is judged on the true positions where it
     completes.  Ends on arrival, a broken link, no relay, or ``max_hops``."""
-    d0 = sim.snapshot().distance(source, dest, use_predicted=False)
+    d0 = sim.snapshot().distance(source, dest)
     hops: list[HopRecord] = []
     current = source
     status = SessionStatus.HOP_CAP  # unless the loop breaks out early
@@ -149,13 +149,11 @@ def _forward(sim, source: int, dest: int, max_hops: int, choose) -> SessionOutco
             break
         sim.advance()  # the transmission occupies this time step
         snap = sim.snapshot()
-        tx = snap.distance(current, nxt, use_predicted=False)
+        tx = snap.distance(current, nxt)
         if tx > snap.comm_range:
             status = SessionStatus.LINK_BROKEN
             break
-        progress = snap.distance(current, dest, use_predicted=False) - snap.distance(
-            nxt, dest, use_predicted=False
-        )
+        progress = snap.distance(current, dest) - snap.distance(nxt, dest)
         hops.append(HopRecord(current, nxt, tx, progress, snap.time))
         current = nxt
         if current == dest:

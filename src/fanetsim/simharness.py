@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 
@@ -274,7 +275,11 @@ def _cell_params(
     cfg: ExperimentConfig, value
 ) -> tuple[NetworkParams, MobilityConfig]:
     name = cfg.sweep.name
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} sweep value {value!r} is not a number")
     if name == "n_nodes":
+        if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+            raise ValueError(f"n_nodes sweep value {value!r} is not an integer")
         return replace(cfg.net, n_nodes=int(value)), cfg.mobility
     if name in ("area_side", "comm_range"):
         net = replace(cfg.net, **{name: float(value)})
@@ -350,7 +355,7 @@ def _route_session(
         return SessionOutcome(
             source,
             dest,
-            snap0.distance(source, dest, use_predicted=False),
+            snap0.distance(source, dest),
             (),
             SessionStatus.STUCK_NO_PROGRESS,
         )
@@ -375,9 +380,7 @@ def _run_one(
     )
     pairs = _draw_pairs(pair_rng, net.n_nodes, cfg.sessions_per_run)
     snap0 = trace.snapshot(0)
-    sum_d = sum(
-        snap0.distance(s, d, use_predicted=False) for s, d in pairs
-    )
+    sum_d = sum(snap0.distance(s, d) for s, d in pairs)
 
     per_alg = {a: _AlgStats() for a in cfg.algorithms}
     for alg in cfg.algorithms:

@@ -53,24 +53,21 @@ class ContactSnapshot:
     def n_nodes(self) -> int:
         return len(self.true_positions)
 
-    def positions(self, use_predicted: bool = False) -> np.ndarray:
-        return self.predicted_positions if use_predicted else self.true_positions
-
     def _check_index(self, i: int) -> None:
         if not (0 <= i < self.n_nodes):
             raise IndexError(f"node index {i} out of range [0, {self.n_nodes})")
 
-    def distance(self, i: int, j: int, use_predicted: bool = False) -> float:
-        """Euclidean distance between nodes i and j on the selected positions."""
+    def distance(self, i: int, j: int) -> float:
+        """Euclidean distance between nodes i and j on the true positions."""
         self._check_index(i)
         self._check_index(j)
-        pos = self.positions(use_predicted)
+        pos = self.true_positions
         return float(math.hypot(pos[i, 0] - pos[j, 0], pos[i, 1] - pos[j, 1]))
 
     def _row(self, i: int, use_predicted: bool):
         """Node i's neighbor indices and every node's x, y offset from i."""
         self._check_index(i)
-        pos = self.positions(use_predicted)
+        pos = self.predicted_positions if use_predicted else self.true_positions
         dx = pos[:, 0] - pos[i, 0]
         dy = pos[:, 1] - pos[i, 1]
         within = dx * dx + dy * dy <= self.comm_range * self.comm_range

@@ -2,14 +2,21 @@
 
 Everything here deliberately avoids the library's own code paths: areas
 come from rejection sampling or a different algebraic decomposition,
-shortest paths from Bellman-Ford, neighbor sets from O(n^2) scans.
+shortest paths from Bellman-Ford, neighbor sets from O(n^2) scans, and
+mobility from stepping one node at a time on ``SeedSequence`` generators.
+The one exception: that mobility reference deploys and renews nodes
+through ``fanetsim.mobility._deploy`` and ``_renewal_draw``, as ``Fleet``
+does, so both sides consume each node's stream in one order.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
+
+from fanetsim.mobility import MobilityConfig, MobilityMode, _deploy, _renewal_draw
 
 
 def mc_lens_area(
@@ -223,3 +230,170 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-12, it: int = 200) -> f
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
+
+
+_TWO_PI = 2.0 * math.pi
+_STREAM_INIT = 0  # a node's deployment stream; its motion is 1, its noise 2
+
+
+@dataclass(frozen=True)
+class MobilityParams:
+    """Parameters drawn at a renewal; constant until the next renewal.
+
+    ``heading`` applies in linear mode; ``turn_radius``, ``phase`` (current
+    angle on the orbit) and signed ``angular_speed`` apply in circular mode.
+    """
+
+    speed: float
+    sojourn: float
+    heading: float = 0.0
+    turn_radius: float = 0.0
+    phase: float = 0.0
+    angular_speed: float = 0.0
+
+
+@dataclass(frozen=True)
+class NodeState:
+    node_id: int
+    x: float
+    y: float
+    mode: MobilityMode
+    params: MobilityParams
+    time_in_state: float = 0.0
+
+
+def node_rng(seed, node_id: int, stream: int = _STREAM_INIT) -> np.random.Generator:
+    """Generator for one node's private stream; `seed` may be an int or tuple."""
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(node_id, stream))
+    )
+
+
+def _mode(linear: bool) -> MobilityMode:
+    return MobilityMode.LINEAR if linear else MobilityMode.CIRCULAR
+
+
+def init_deployment(cfg: MobilityConfig, n: int, seed) -> list[NodeState]:
+    """Uniform i.i.d. positions on the square, equiprobable initial modes."""
+    return [
+        NodeState(i, x, y, _mode(linear), MobilityParams(*draw))
+        for i, (x, y, linear, *draw) in enumerate(
+            _deploy(cfg, [node_rng(seed, i, _STREAM_INIT) for i in range(n)])
+        )
+    ]
+
+
+def _fold(v: float, side: float) -> tuple[float, bool]:
+    """Reflect a coordinate into [0, side]; flag whether an odd number of
+    wall reflections happened (the velocity component must then mirror)."""
+    flipped = False
+    while v < 0.0 or v > side:
+        v = -v if v < 0.0 else 2.0 * side - v
+        flipped = not flipped
+    return v, flipped
+
+
+def _displace(state: NodeState, dt: float) -> tuple[float, float, float]:
+    """Raw (x, y, orbit phase) after dt, before boundary handling."""
+    p = state.params
+    if state.mode is MobilityMode.LINEAR:
+        return (
+            state.x + p.speed * dt * math.cos(p.heading),
+            state.y + p.speed * dt * math.sin(p.heading),
+            p.phase,
+        )
+    new_phase = p.phase + p.angular_speed * dt
+    x = state.x + p.turn_radius * (math.cos(new_phase) - math.cos(p.phase))
+    y = state.y + p.turn_radius * (math.sin(new_phase) - math.sin(p.phase))
+    return x, y, new_phase
+
+
+def step(
+    state: NodeState, cfg: MobilityConfig, rng: np.random.Generator
+) -> NodeState:
+    """Advance one node by one time step.
+
+    Moves analytically under the current mode, reflects off the square's
+    walls (heading mirrored in linear mode; orbit phase mirrored and spin
+    reversed in circular mode, which re-centers the orbit), then performs
+    a Markov renewal once the time in the current state reaches its sojourn.
+    """
+    dt = cfg.time_step
+    x, y, phase = _displace(state, dt)
+    x, flip_x = _fold(x, cfg.area_side)
+    y, flip_y = _fold(y, cfg.area_side)
+    params = state.params
+    if state.mode is MobilityMode.LINEAR:
+        if flip_x or flip_y:
+            heading = params.heading
+            if flip_x:
+                heading = math.pi - heading
+            if flip_y:
+                heading = -heading
+            params = replace(params, heading=heading % _TWO_PI)
+    else:
+        phase %= _TWO_PI
+        omega = params.angular_speed
+        if flip_x:
+            phase = math.pi - phase
+            omega = -omega
+        if flip_y:
+            phase = -phase
+            omega = -omega
+        if flip_x or flip_y:
+            phase %= _TWO_PI
+        params = replace(params, phase=phase, angular_speed=omega)
+
+    time_in_state = state.time_in_state + dt
+    mode = state.mode
+    if time_in_state >= params.sojourn:
+        if rng.random() < cfg.transition_prob:
+            mode = _mode(mode is not MobilityMode.LINEAR)
+        params = MobilityParams(*_renewal_draw(mode is MobilityMode.LINEAR, cfg, rng))
+        time_in_state = 0.0
+
+    return NodeState(state.node_id, x, y, mode, params, time_in_state)
+
+
+def predict_position(
+    state: NodeState,
+    horizon: float,
+    noise_var: float,
+    rng: np.random.Generator | None = None,
+) -> tuple[float, float]:
+    """Model-based position estimate ``horizon`` seconds ahead, plus noise.
+
+    Extrapolates the current mode's deterministic kinematics (no renewals,
+    no wall reflections are anticipated) and adds independent zero-mean
+    Gaussian noise of per-axis variance ``noise_var``.
+    """
+    if horizon < 0.0:
+        raise ValueError(f"horizon must be >= 0, got {horizon!r}")
+    if horizon == 0.0:
+        x, y = state.x, state.y
+    else:
+        x, y, _ = _displace(state, horizon)
+    if noise_var > 0.0:
+        if rng is None:
+            raise ValueError("rng required when noise_var > 0")
+        sigma = math.sqrt(noise_var)
+        x += float(rng.normal(0.0, sigma))
+        y += float(rng.normal(0.0, sigma))
+    return x, y
+
+
+def fleet_states(fleet) -> list[NodeState]:
+    """A ``fanetsim.mobility.Fleet``'s per-node states, read off its arrays."""
+    params = np.array(
+        [getattr(fleet, f"_{f.name}") for f in fields(MobilityParams)]
+    ).T.tolist()
+    rows = zip(
+        *fleet._xy.tolist(),
+        fleet._linear.tolist(),
+        fleet._time_in_state.tolist(),
+        params,
+    )
+    return [
+        NodeState(i, x, y, _mode(linear), MobilityParams(*p), t)
+        for i, (x, y, linear, t, p) in enumerate(rows)
+    ]

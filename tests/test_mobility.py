@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fanetsim.mobility import (
-    Fleet,
-    MobilityConfig,
-    MobilityMode,
+from fanetsim.mobility import Fleet, MobilityConfig, MobilityMode, trajectory_rows
+
+from oracles import (
     MobilityParams,
     NodeState,
+    fleet_states,
     init_deployment,
+    ks_statistic_uniform,
     node_rng,
     predict_position,
     step,
-    trajectory_rows,
 )
-
-from oracles import ks_statistic_uniform
 
 
 def linear_state(x=100.0, y=100.0, speed=10.0, heading=0.0):
@@ -92,18 +90,18 @@ class TestConfig:
 class TestDeployment:
     def test_deterministic_for_fixed_seed(self):
         cfg = MobilityConfig()
-        assert init_deployment(cfg, 8, 123) == init_deployment(cfg, 8, 123)
-        assert init_deployment(cfg, 8, 123) != init_deployment(cfg, 8, 124)
+        a, b, c = (fleet_states(Fleet(cfg, 8, seed)) for seed in (123, 123, 124))
+        assert a == b and a != c
 
     def test_requires_two_nodes(self):
+        with pytest.raises(ValueError):
+            Fleet(MobilityConfig(), 1, 0)
         with pytest.raises(ValueError):
             init_deployment(MobilityConfig(), 1, 0)
 
     def test_uniform_positions(self):
         cfg = MobilityConfig(area_side=10_000.0)
-        nodes = init_deployment(cfg, 10_000, 5)
-        xs = np.array([s.x for s in nodes])
-        ys = np.array([s.y for s in nodes])
+        xs, ys = Fleet(cfg, 10_000, 5).true_positions().T
         assert abs(xs.mean() - 5_000.0) < 100.0
         assert abs(ys.mean() - 5_000.0) < 100.0
         # Kolmogorov-Smirnov vs uniform at the 1% level
@@ -111,7 +109,7 @@ class TestDeployment:
         assert ks_statistic_uniform(xs, 0.0, 10_000.0) < d_crit
 
     def test_modes_roughly_balanced(self):
-        nodes = init_deployment(MobilityConfig(), 10_000, 17)
+        nodes = fleet_states(Fleet(MobilityConfig(), 10_000, 17))
         frac = np.mean([s.mode is MobilityMode.LINEAR for s in nodes])
         assert abs(frac - 0.5) < 0.02
 
@@ -223,7 +221,7 @@ class TestFleet:
         for _ in range(100):
             a.advance()
             b.advance()
-        assert a.nodes == b.nodes
+        assert fleet_states(a) == fleet_states(b)
         assert np.array_equal(a.predicted_positions(), b.predicted_positions())
 
     def test_node_streams_independent_of_order(self):
@@ -237,7 +235,7 @@ class TestFleet:
         for i in (3, 1, 0, 2):
             for _ in range(50):
                 states[i] = step(states[i], cfg, rngs[i])
-        assert [states[i] for i in range(4)] == fleet.nodes
+        assert [states[i] for i in range(4)] == fleet_states(fleet)
 
     def test_zero_velocity_zero_noise_prediction_is_truth(self):
         cfg = MobilityConfig(mean_speed=0.0, prediction_noise_var=0.0)
@@ -285,8 +283,9 @@ def _assert_fleet_is_reference(cfg, n, seed, n_steps, order):
         if k:
             fleet.advance()
         assert fleet.time == k * cfg.time_step
-        assert fleet.nodes == nodes
-        assert repr(fleet.nodes) == repr(nodes)  # also tells -0.0 from 0.0
+        states = fleet_states(fleet)
+        assert states == nodes
+        assert repr(states) == repr(nodes)  # also tells -0.0 from 0.0
         assert _bits(fleet.true_positions()) == _bits(true)
         assert _bits(fleet.predicted_positions()) == _bits(predicted)
 
@@ -349,13 +348,6 @@ class TestFleetMatchesReference:
             fleet.advance()
         motion = [node_id for node_id, stream in built_streams if stream == 1]
         assert sorted(motion) == list(range(8))  # every node renewed, once built
-
-    def test_nodes_is_a_view(self):
-        fleet = Fleet(MobilityConfig(), 4, 1)
-        fleet.nodes[0] = None
-        assert fleet.nodes[0] is not None
-        with pytest.raises(AttributeError):
-            fleet.nodes = []
 
 
 # Run entropies as numpy coerces them: ints of 1-6 uint32 words, and tuples

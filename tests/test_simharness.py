@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -64,6 +65,28 @@ class TestConfigValidation:
         )
         counts = run_experiment(speed).session_counts
         assert counts[0.0, Algorithm.GREEDY_PREDICTIVE.value][1] == 25
+
+    @pytest.mark.parametrize(
+        "name, value, kind",
+        [
+            # 10.7 used to simulate and bound N=10 but label its rows 10.7
+            ("n_nodes", 10.7, "an integer"),
+            ("n_nodes", math.inf, "an integer"),
+            ("n_nodes", "10", "a number"),
+            # None used to escape from float() as a TypeError
+            ("prediction_horizon", None, "a number"),
+            ("mean_speed", True, "a number"),
+        ],
+    )
+    def test_sweep_value_rejected(self, name, value, kind):
+        cfg = small_config(sweep=SweepSpec(name, (value,)), runs=1)
+        message = re.escape(f"{name} sweep value {value!r} is not {kind}")
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(cfg)
+
+    def test_integral_float_node_count_accepted(self):
+        cfg = small_config(sweep=SweepSpec("n_nodes", (8.0,)), runs=1)
+        assert run_experiment(cfg).session_counts[8.0, "greedy_predictive"][1] == 5
 
     def test_runs_must_be_positive(self):
         with pytest.raises(ValueError):
