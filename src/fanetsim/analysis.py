@@ -6,21 +6,26 @@ corridor, expected end-to-end travel distance, the half-disk isolation
 probability, its inverse (minimum range for a target isolation level),
 and the resulting delivery success probability.
 
-Each corridor value costs an adaptive quadrature of the progress CDF
+Each corridor end costs an adaptive quadrature of the progress CDF
 (whose integrand reads the lens area on plain floats through
 ``geometry._lens_area``), so a report computes the hop corridor once and
-derives the travel corridor from it: two quadratures when the
-destination is out of range, one when it is in range.  :func:`bounds_report` is the one corridor path; the
+derives the travel corridor from it.  The upper end rates every hop at
+the worst-case mean progress, which depends on the network alone, so its
+quadrature runs once per :class:`NetworkParams` and is then read from a
+small bounded cache; the lower end depends on the distance and runs one
+quadrature per report when the destination is out of range, none when it
+is in range.  :func:`bounds_report` is the one corridor path; the
 ``fanetsim bounds`` command and the simulation harness's ``bound_*``
 columns both read it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .geometry import ProgressDistribution, expected_progress
+from .geometry import ProgressDistribution, _check_node_count, expected_progress
 
 __all__ = [
     "BoundsReport",
@@ -43,8 +48,7 @@ class NetworkParams:
     comm_range: float
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 2:
-            raise ValueError(f"n_nodes must be >= 2, got {self.n_nodes!r}")
+        _check_node_count(self.n_nodes, 2)
         if not (math.isfinite(self.area_side) and self.area_side > 0.0):
             raise ValueError(f"area_side must be > 0, got {self.area_side!r}")
         diag = math.sqrt(2.0) * self.area_side
@@ -79,6 +83,17 @@ def _mean_hop_progress(net: NetworkParams, remaining: float) -> float:
     return expected_progress(dist)
 
 
+# Distinct networks whose worst-case progress is kept; a figure sweep or
+# a bounds grid uses a handful, so this bound is never reached in them.
+_WORST_CASE_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_WORST_CASE_CACHE_SIZE)
+def _worst_case_progress(net: NetworkParams) -> float:
+    """Mean hop progress at remaining distance R, the slowest a hop gets."""
+    return _mean_hop_progress(net, net.comm_range)
+
+
 def _check_distance(net: NetworkParams, d: float) -> None:
     diag = math.sqrt(2.0) * net.area_side
     if not (0.0 < d <= diag * (1.0 + 1e-12)):
@@ -91,9 +106,11 @@ def hop_bounds(net: NetworkParams, d: float) -> tuple[float, float]:
     The lower bound collapses to the single direct hop when the destination
     is already in range; the upper bound rates every hop at the worst-case
     mean progress (remaining distance equal to the transmission radius).
+    That progress depends on ``net`` alone, so its quadrature runs once per
+    network and later calls with the same network values reuse it.
     """
     _check_distance(net, d)
-    upper = d / _mean_hop_progress(net, net.comm_range) + 1.0
+    upper = d / _worst_case_progress(net) + 1.0
     if d <= net.comm_range:
         lower = 1.0
     else:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,6 +45,18 @@ class QuadratureError(RuntimeError):
 
 def _clamp(v: float, lo: float, hi: float) -> float:
     return lo if v < lo else hi if v > hi else v
+
+
+def _check_node_count(n, minimum: int) -> None:
+    """Reject a node count that is a bool, not integral, or below ``minimum``.
+
+    An integral float such as 10.0 passes, as it does for an ``n_nodes``
+    sweep value in the simulation harness.
+    """
+    if isinstance(n, bool) or not isinstance(n, numbers.Real) or not float(n).is_integer():
+        raise ValueError(f"n_nodes must be an integer, got {n!r}")
+    if n < minimum:
+        raise ValueError(f"n_nodes must be >= {minimum}, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -118,8 +131,7 @@ class ProgressDistribution:
             raise ValueError(f"d must be finite and > 0, got {self.d!r}")
         if not (math.isfinite(self.r) and self.r > 0.0):
             raise ValueError(f"r must be finite and > 0, got {self.r!r}")
-        if self.n_nodes < 1:
-            raise ValueError(f"n_nodes must be >= 1, got {self.n_nodes!r}")
+        _check_node_count(self.n_nodes, 1)
         if not (math.isfinite(self.area_side) and self.area_side > 0.0):
             raise ValueError(
                 f"area_side must be finite and > 0, got {self.area_side!r}"

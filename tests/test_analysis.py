@@ -14,6 +14,7 @@ from fanetsim.analysis import (
     min_range_for_isolation,
     success_probability,
 )
+from fanetsim.geometry import ProgressDistribution, expected_progress
 
 from oracles import bisect_root
 
@@ -31,6 +32,18 @@ class TestNetworkParams:
         with pytest.raises(ValueError):
             NetworkParams(10, 10_000.0, 15_000.0)  # beyond the diagonal
         NetworkParams(10, 10_000.0, math.sqrt(2.0) * 10_000.0)
+
+    # 10.5 used to build a report for half a node; inf and nan passed the
+    # "< 2" check, since comparisons with nan are false
+    @pytest.mark.parametrize("n", [10.5, math.inf, math.nan, True, "10"])
+    def test_non_integral_node_count_rejected(self, n):
+        with pytest.raises(ValueError, match="n_nodes must be an integer"):
+            NetworkParams(n, 10_000.0, 5_000.0)
+
+    def test_integral_float_node_count_accepted(self):
+        net = NetworkParams(10.0, 10_000.0, 5_000.0)
+        assert net == NET
+        assert bounds_report(net, 7_500.0) == bounds_report(NET, 7_500.0)
 
 
 class TestHopBounds:
@@ -210,6 +223,8 @@ class TestBoundsReport:
 
     @pytest.mark.parametrize("d, quadratures", [(7_500.0, 2), (5_000.0, 1), (3_000.0, 1)])
     def test_one_quadrature_per_corridor_end(self, monkeypatch, d, quadratures):
+        # a fresh network pays one quadrature per corridor end; a second
+        # report on it drops the worst-case (d = R) one and keeps the rest
         calls = []
         original = analysis.expected_progress
 
@@ -218,8 +233,51 @@ class TestBoundsReport:
             return original(dist)
 
         monkeypatch.setattr(analysis, "expected_progress", counted)
-        bounds_report(NET, d)
+        first = bounds_report(NET, d)
         assert len(calls) == quadratures
+        assert calls[0] == NET.comm_range
+        del calls[:]
+        assert bounds_report(NET, d) == first
+        assert calls == ([d] if d > NET.comm_range else [])
+
+
+class TestWorstCaseCache:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 200),
+        side=st.floats(1_000.0, 50_000.0),
+        r_frac=st.floats(0.05, 1.0),
+        d_frac=st.floats(0.001, 1.0),
+    )
+    def test_upper_bound_bit_identical_cold_and_warm(self, n, side, r_frac, d_frac):
+        net = NetworkParams(n, side, r_frac * side)
+        d = d_frac * math.sqrt(2.0) * side
+        r = net.comm_range
+        expected = d / expected_progress(ProgressDistribution(r, r, n, side)) + 1.0
+        analysis._worst_case_progress.cache_clear()
+        assert hop_bounds(net, d)[1] == expected  # cold
+        assert hop_bounds(net, d)[1] == expected  # warm
+        assert analysis._worst_case_progress.cache_info().misses == 1
+
+    def test_equal_networks_share_one_entry(self):
+        first = NetworkParams(10, 10_000.0, 5_000.0)
+        second = NetworkParams(10, 10_000.0, 5_000.0)
+        assert first is not second
+        assert hop_bounds(first, 7_500.0) == hop_bounds(second, 7_500.0)
+        info = analysis._worst_case_progress.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+    def test_one_entry_per_network_not_per_distance(self):
+        nets = [NetworkParams(n, 10_000.0, 5_000.0) for n in (5, 10, 20)]
+        distances = [1_000.0 * k for k in range(1, 15)]
+        for _ in range(2):
+            for net in nets:
+                for d in distances:
+                    bounds_report(net, d)
+        info = analysis._worst_case_progress.cache_info()
+        assert info.currsize == info.misses == len(nets)
+        assert info.hits == 2 * len(nets) * len(distances) - len(nets)
+        assert info.maxsize == analysis._WORST_CASE_CACHE_SIZE
 
 
 def test_simulated_hops_inside_corridor_across_regimes():

@@ -121,6 +121,14 @@ class TestProgressDistribution:
         with pytest.raises(ValueError):
             ProgressDistribution(d=1.0, r=1.0, n_nodes=0, area_side=1.0)
 
+    @pytest.mark.parametrize("n", [10.5, math.inf, math.nan, True])
+    def test_non_integral_node_count_rejected(self, n):
+        with pytest.raises(ValueError, match="n_nodes must be an integer"):
+            self.dist(n=n)
+
+    def test_integral_float_node_count_accepted(self):
+        assert expected_progress(self.dist(n=10.0)) == expected_progress(self.dist(n=10))
+
     def test_tail_is_one_at_far_edge(self):
         d = self.dist()
         assert progress_tail(d, d.d - d.r) == 1.0

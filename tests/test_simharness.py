@@ -252,7 +252,10 @@ class TestMetrics:
                 row = res.get(value, Algorithm.GREEDY_PREDICTIVE, metric)
                 assert (row.bound_lower, row.bound_upper) == bounds
 
-    def test_two_quadratures_per_cell(self, monkeypatch):
+    def test_worst_case_quadrature_once_per_network(self, monkeypatch):
+        # three speed cells share one network: one worst-case (d = R)
+        # quadrature for all of them, plus one lower-end quadrature per
+        # cell whose mean separation is out of range
         calls = []
         original = analysis.expected_progress
 
@@ -262,13 +265,15 @@ class TestMetrics:
 
         monkeypatch.setattr(analysis, "expected_progress", counted)
         cfg = small_config(
-            net=NetworkParams(n_nodes=10, area_side=10_000.0, comm_range=3_000.0),
-            sweep=SweepSpec("n_nodes", (10,)),
+            net=NetworkParams(n_nodes=10, area_side=10_000.0, comm_range=5_000.0),
+            sweep=SweepSpec("mean_speed", (0.0, 5.0, 10.0)),
             runs=2,
         )
         res = run_experiment(cfg)
-        assert res.cell_mean_d[10] > cfg.net.comm_range
-        assert len(calls) == 2
+        r = cfg.net.comm_range
+        out_of_range = [d for d in res.cell_mean_d.values() if d > r]
+        assert 0 < len(out_of_range) < 3  # both regimes are exercised
+        assert calls == [r] + out_of_range
 
     def test_mean_d_is_plausible(self):
         res = run_experiment(small_config())
