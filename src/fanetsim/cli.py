@@ -6,7 +6,7 @@ corridor table for one parameter set, ``route`` traces a single seeded
 session hop by hop, and ``trace`` dumps mobility trajectories as CSV.
 
 Configuration is a flat INI file whose keys and defaults are the fields of
-the config dataclasses (``_SECTIONS``); every key can be overridden on the
+the config dataclasses (``_sections``); every key can be overridden on the
 command line via ``--set section.key=value``.
 Lengths accept a ``km`` or ``m`` suffix and are stored in meters.
 """
@@ -27,14 +27,12 @@ import numpy as np
 from .analysis import NetworkParams, bounds_report, min_range_for_isolation
 from .mobility import Fleet, MobilityConfig, trajectory_rows
 from .simharness import (
-    DYNAMIC_TIME_STEP,
+    FIGURES,
     Algorithm,
     ConfigError,
     ExperimentConfig,
-    figure3_dataset,
-    figure5_dataset,
-    figure6_dataset,
     record_trace,
+    _figure_dataset,
     _route_session,
 )
 
@@ -72,14 +70,17 @@ def _scalar_fields(obj, skip: str = "") -> dict:
     }
 
 
-# INI section -> key -> default, all read off ExperimentConfig().
-# mobility.area_side is no key: it is always net.area_side.
-_REFERENCE = ExperimentConfig()
-_SECTIONS = {
-    "net": _scalar_fields(_REFERENCE.net),
-    "mobility": _scalar_fields(_REFERENCE.mobility, skip="area_side"),
-    "experiment": _scalar_fields(_REFERENCE),
-}
+def _sections(cfg: ExperimentConfig) -> dict:
+    """INI section -> key -> default, read off ``ExperimentConfig()`` or a
+    figure's reference.  mobility.area_side is no key: it is net.area_side."""
+    return {
+        "net": _scalar_fields(cfg.net),
+        "mobility": _scalar_fields(cfg.mobility, skip="area_side"),
+        "experiment": _scalar_fields(cfg),
+    }
+
+
+_SECTIONS = _sections(ExperimentConfig())  # the INI keys and their types
 
 
 def _format(default) -> str:
@@ -89,18 +90,20 @@ def _format(default) -> str:
 
 
 def load_config(
-    path: str | None, overrides: list[str] | None = None
+    path: str | None,
+    overrides: list[str] | None = None,
+    reference: ExperimentConfig = ExperimentConfig(),
 ) -> configparser.ConfigParser:
-    """Defaults, then the INI file (if any), then key=value overrides."""
-    cp = configparser.ConfigParser()
-    for section, keys in _SECTIONS.items():
+    """``reference``'s values, then the INI file (if any), then overrides."""
+    cp = configparser.ConfigParser(interpolation=None)
+    for section, keys in _sections(reference).items():
         cp[section] = {key: _format(v) for key, v in keys.items()}
     if path:
         if not Path(path).is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            read = cp.read(path)
-        except configparser.Error as exc:
+            read = cp.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
         if not read:
             raise ConfigError(f"cannot read config file: {path}")
@@ -156,31 +159,17 @@ def build_experiment_config(cp: configparser.ConfigParser) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-# Figure command -> (dataset function, the key its sweep replaces).
-_FIGURES = {
-    "fig3": (figure3_dataset, "net.n_nodes"),
-    "fig4": (figure3_dataset, "net.n_nodes"),
-    "fig5": (figure5_dataset, "mobility.mean_speed"),
-    "fig6": (figure6_dataset, "mobility.mean_speed"),
-}
-
-
-def _reject_swept_key(name: str, path: str | None, overrides: list[str]) -> None:
-    """A figure ignores any value of the key it sweeps, so setting it is an error."""
-    key = _FIGURES[name][1]
-    in_file = configparser.ConfigParser()
-    in_file.read(path or [])
-    if in_file.has_option(*key.split(".")) or any(
-        item.split("=", 1)[0] == key for item in overrides
-    ):
-        raise ConfigError(f"{key} cannot be set: {name} sweeps it")
-
-
-def _figure_overrides(name: str) -> list[str]:
-    """Per-figure config defaults, applied before user overrides."""
-    if name in ("fig5", "fig6"):
-        return [f"mobility.time_step={DYNAMIC_TIME_STEP}"]
-    return []
+def _reject_fixed_keys(name: str, path: str | None, overrides: list[str]) -> None:
+    """A figure ignores any value of the keys it fixes, so setting one is an error."""
+    swept = FIGURES[name].sweep.name
+    section = next(s for s, keys in _SECTIONS.items() if swept in keys)
+    in_file = configparser.ConfigParser(interpolation=None)
+    in_file.read(path or [], encoding="utf-8")  # load_config has checked it
+    set_keys = {item.split("=", 1)[0] for item in overrides}
+    for key, verb in ((f"{section}.{swept}", "sweeps"),
+                      ("experiment.dijkstra_weight", "fixes")):
+        if key in set_keys or in_file.has_option(*key.split(".")):
+            raise ConfigError(f"{key} cannot be set: {name} {verb} it")
 
 
 def _output_dir(args) -> Path:
@@ -191,17 +180,16 @@ def _output_dir(args) -> Path:
 
 
 def _cmd_figure(name: str, args) -> int:
-    overrides = _figure_overrides(name) + list(args.set or [])
+    overrides = list(args.set or [])
     if args.runs is not None:
         overrides.append(f"experiment.runs={args.runs}")
     if args.seed is not None:
         overrides.append(f"experiment.seed={args.seed}")
     if args.workers is not None:
         overrides.append(f"experiment.workers={args.workers}")
-    cp = load_config(args.config, overrides)
-    _reject_swept_key(name, args.config, args.set or [])
-    cfg = build_experiment_config(cp)
-    result = _FIGURES[name][0](cfg)
+    cp = load_config(args.config, overrides, FIGURES[name])
+    _reject_fixed_keys(name, args.config, args.set or [])
+    result = _figure_dataset(FIGURES[name], build_experiment_config(cp))
     out_dir = _output_dir(args)
     csv_path = out_dir / f"{name}.csv"
     result.write_csv(csv_path)
@@ -360,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in _FIGURES:
+        if args.command in FIGURES:
             return _cmd_figure(args.command, args)
         if args.command == "bounds":
             return _cmd_bounds(args)

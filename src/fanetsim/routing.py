@@ -256,4 +256,6 @@ def execute_path(sim, path: list[int], max_hops: int) -> SessionOutcome:
     ``max_hops`` hops."""
     if len(path) < 2:
         raise ValueError("path must contain at least two nodes")
+    if path[0] == path[-1]:
+        raise ValueError("source and destination must differ")
     return _forward(sim, path[0], path[-1], max_hops, lambda k, current: path[k + 1])

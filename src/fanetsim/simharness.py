@@ -64,6 +64,7 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "ExperimentResult",
+    "FIGURES",
     "ResultRow",
     "SweepSpec",
     "figure3_dataset",
@@ -114,8 +115,9 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment; the defaults are the reference setup, and they are
-    the only place the CLI's INI keys and defaults come from."""
+    """One experiment; the defaults are the reference setup.  They, and
+    each figure's entry in ``FIGURES``, are where the CLI's INI keys and
+    defaults come from."""
 
     net: NetworkParams = NetworkParams(10, 10_000.0, 5_000.0)
     mobility: MobilityConfig = MobilityConfig()
@@ -417,8 +419,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         for si in range(len(cfg.sweep.values))
         for ri in range(cfg.runs)
     ]
-    if cfg.workers > 1:
-        with multiprocessing.Pool(cfg.workers) as pool:
+    processes = min(cfg.workers, len(tasks))
+    if processes > 1:
+        with multiprocessing.Pool(processes) as pool:
             results = pool.starmap(_run_one, tasks, chunksize=1)
     else:
         results = [_run_one(*t) for t in tasks]
@@ -504,50 +507,55 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     return asdict(cfg, dict_factory=lambda items: {k: _plain(v) for k, v in items})
 
 
+# Figure command -> its reference config.  A figure fixes its entry's
+# sweep parameter, algorithms and Dijkstra weight; the rest are defaults.
+_SPEED_FIGURE = ExperimentConfig(
+    mobility=MobilityConfig(time_step=DYNAMIC_TIME_STEP),
+    sweep=SweepSpec("mean_speed", DEFAULT_SPEED_SWEEP),
+)
+FIGURES = {
+    "fig3": ExperimentConfig(),
+    "fig5": replace(_SPEED_FIGURE, algorithms=tuple(Algorithm)),
+    "fig6": replace(
+        _SPEED_FIGURE,
+        algorithms=(Algorithm.GREEDY_PREDICTIVE, Algorithm.DIJKSTRA_STATIC),
+        dijkstra_weight=PathWeight.DISTANCE_SQUARED,
+    ),
+}
+FIGURES["fig4"] = FIGURES["fig3"]
+
+
+def _figure_dataset(
+    ref: ExperimentConfig, cfg: ExperimentConfig | None
+) -> ExperimentResult:
+    """Run ``cfg`` (default ``ref``) with figure ``ref``'s algorithms, Dijkstra
+    weight and sweep; a ``cfg`` that sweeps the same parameter keeps its values."""
+    cfg = ref if cfg is None else cfg
+    return run_experiment(
+        replace(
+            cfg,
+            sweep=cfg.sweep if cfg.sweep.name == ref.sweep.name else ref.sweep,
+            algorithms=ref.algorithms,
+            dijkstra_weight=ref.dijkstra_weight,
+        )
+    )
+
+
 def figure3_dataset(cfg: ExperimentConfig | None = None) -> ExperimentResult:
     """Travel distance and delivery success vs node count, with the
     analytical corridors; ``fanetsim fig4`` writes this dataset too."""
-    if cfg is None:
-        cfg = ExperimentConfig()
-    cfg = replace(
-        cfg,
-        sweep=SweepSpec("n_nodes", DEFAULT_NODE_SWEEP)
-        if cfg.sweep.name != "n_nodes"
-        else cfg.sweep,
-        algorithms=(Algorithm.GREEDY_PREDICTIVE,),
-    )
-    return run_experiment(cfg)
+    return _figure_dataset(FIGURES["fig3"], cfg)
 
 
 def figure5_dataset(cfg: ExperimentConfig | None = None) -> ExperimentResult:
-    """Delivery success vs mean speed for all three algorithms."""
-    if cfg is None:
-        cfg = ExperimentConfig(mobility=MobilityConfig(time_step=DYNAMIC_TIME_STEP))
-    cfg = replace(
-        cfg,
-        sweep=SweepSpec("mean_speed", DEFAULT_SPEED_SWEEP)
-        if cfg.sweep.name != "mean_speed"
-        else cfg.sweep,
-        algorithms=(
-            Algorithm.GREEDY_PREDICTIVE,
-            Algorithm.GREEDY_STATIC,
-            Algorithm.DIJKSTRA_STATIC,
-        ),
-        dijkstra_weight=PathWeight.DISTANCE,
-    )
-    return run_experiment(cfg)
+    """Delivery success vs mean speed for all three algorithms.  A given
+    ``cfg`` keeps its own ``time_step``: start from ``FIGURES["fig5"]``
+    for the figure's 30 s hop."""
+    return _figure_dataset(FIGURES["fig5"], cfg)
 
 
 def figure6_dataset(cfg: ExperimentConfig | None = None) -> ExperimentResult:
-    """Transmit power per delivered packet vs mean speed, greedy vs Dijkstra."""
-    if cfg is None:
-        cfg = ExperimentConfig(mobility=MobilityConfig(time_step=DYNAMIC_TIME_STEP))
-    cfg = replace(
-        cfg,
-        sweep=SweepSpec("mean_speed", DEFAULT_SPEED_SWEEP)
-        if cfg.sweep.name != "mean_speed"
-        else cfg.sweep,
-        algorithms=(Algorithm.GREEDY_PREDICTIVE, Algorithm.DIJKSTRA_STATIC),
-        dijkstra_weight=PathWeight.DISTANCE_SQUARED,
-    )
-    return run_experiment(cfg)
+    """Transmit power per delivered packet vs mean speed, greedy vs Dijkstra.
+    A given ``cfg`` keeps its own ``time_step``: start from
+    ``FIGURES["fig6"]`` for the figure's 30 s hop."""
+    return _figure_dataset(FIGURES["fig6"], cfg)

@@ -1,13 +1,20 @@
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from fanetsim.analysis import NetworkParams, bounds_report, min_range_for_isolation
 from fanetsim.cli import ConfigError, build_experiment_config, load_config, main, parse_length
-from fanetsim.simharness import ExperimentConfig
+from fanetsim.simharness import (
+    FIGURES,
+    ExperimentConfig,
+    figure3_dataset,
+    figure5_dataset,
+    figure6_dataset,
+)
 
 _DEFAULT_CP = load_config(None)
 ALL_KEYS = [f"{s}.{k}" for s in _DEFAULT_CP.sections() for k in _DEFAULT_CP[s]]
@@ -82,6 +89,34 @@ class TestConfigLoading:
     def test_bad_value_names_its_key(self, key):
         with pytest.raises(ConfigError, match=re.escape(f"bad value for {key}: 'x'")):
             build_experiment_config(load_config(None, [f"{key}=x"]))
+
+    def test_percent_override_exits_2(self, capsys):
+        code = main(["route", "--set", "experiment.seed=5%"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "config error: bad value for experiment.seed: '5%'" in captured.err
+        assert captured.out == ""
+
+    def test_percent_file_value_exits_2(self, tmp_path, capsys):
+        # values are literal: no %(name)s interpolation
+        ini = tmp_path / "percent.ini"
+        ini.write_text("[experiment]\nruns = %(nope)s\n")
+        code = main(["fig3", "--config", str(ini), "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error: bad value for experiment.runs: '%(nope)s'" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "fig3.csv").exists()
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        ini = tmp_path / "latin1.ini"
+        ini.write_bytes("[net]\n# Flughöhe\nn_nodes = 10\n".encode("latin-1"))
+        code = main(["fig3", "--config", str(ini), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"config error: cannot parse config file {ini}: " in err
+        assert "'utf-8' codec can't decode" in err
+        assert not (tmp_path / "fig3.csv").exists()
 
     @pytest.mark.parametrize(
         "text, key",
@@ -236,6 +271,38 @@ class TestFigureCommands:
                 capsys.readouterr().err
             )
             assert not (tmp_path / f"{sub}.csv").exists()
+
+    @pytest.mark.parametrize("sub", ["fig3", "fig4", "fig5", "fig6"])
+    def test_dijkstra_weight_exits_2(self, tmp_path, capsys, sub):
+        # fig3/fig4 run no Dijkstra; fig5/fig6 fix the weight they compare
+        key = "experiment.dijkstra_weight"
+        ini = tmp_path / "weight.ini"
+        ini.write_text("[experiment]\ndijkstra_weight = distance\n")
+        for argv in (["--set", f"{key}=distance"], ["--config", str(ini)]):
+            code = main([sub, "--runs", "1", "--out", str(tmp_path), *argv])
+            assert code == 2
+            assert f"config error: {key} cannot be set: {sub} fixes it" in (
+                capsys.readouterr().err
+            )
+            assert not (tmp_path / f"{sub}.csv").exists()
+
+    @pytest.mark.parametrize(
+        "sub, dataset",
+        [
+            ("fig3", figure3_dataset),
+            ("fig4", figure3_dataset),
+            ("fig5", figure5_dataset),
+            ("fig6", figure6_dataset),
+        ],
+    )
+    def test_command_writes_the_library_dataset(self, tmp_path, sub, dataset):
+        code = main([sub, "--runs", "1", "--seed", "5", "--out", str(tmp_path),
+                     "--set", "experiment.sessions_per_run=3"])
+        assert code == 0
+        expected = dataset(replace(FIGURES[sub], runs=1, seed=5, sessions_per_run=3))
+        assert (tmp_path / f"{sub}.csv").read_text() == expected.to_csv()
+        payload = json.loads((tmp_path / f"{sub}.json").read_text())
+        assert payload["config"] == expected.config
 
     def test_negative_max_hops_exits_2(self, tmp_path, capsys):
         code = main(["fig3", "--out", str(tmp_path),

@@ -368,6 +368,13 @@ class TestExecutePath:
         with pytest.raises(ValueError):
             execute_path(trace.cursor(), [0], max_hops=1)
 
+    @pytest.mark.parametrize("path", [[3, 3], [3, 1, 3]])
+    def test_path_ending_at_its_source_rejected(self, path):
+        # as route_greedy and route_dijkstra reject source == dest
+        trace = static_trace([(0, 0), (3_000, 0), (6_000, 0), (9_000, 0)])
+        with pytest.raises(ValueError, match="source and destination must differ"):
+            execute_path(trace.cursor(), path, 20)
+
     def test_fast_network_breaks_links(self):
         # nodes cross the whole area per step and the range is a small
         # fraction of it, so precomputed multi-hop paths almost always break

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fanetsim import analysis
+from fanetsim import analysis, simharness
 from fanetsim.analysis import NetworkParams, bounds_report, hop_bounds
 from fanetsim.mobility import Fleet, MobilityConfig
 from fanetsim.routing import PathWeight, SessionStatus, route_greedy
 from fanetsim.simharness import (
+    FIGURES,
     Algorithm,
     ConfigError,
     ExperimentConfig,
@@ -126,6 +127,37 @@ class TestDeterminism:
         serial = run_experiment(small_config(workers=1))
         parallel = run_experiment(small_config(workers=3))
         assert serial.to_csv() == parallel.to_csv()
+
+    @pytest.mark.parametrize(
+        "workers, nodes, runs, pools",
+        [(5000, (8, 12), 1, [2]), (2, (8, 12), 6, [2]), (8, (8,), 1, [])],
+    )
+    def test_pool_capped_at_task_count(
+        self, monkeypatch, workers, nodes, runs, pools
+    ):
+        # a task is one run of one sweep value; one task runs without a pool
+        opened = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                opened.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, tasks, chunksize=1):
+                return [fn(*task) for task in tasks]
+
+        monkeypatch.setattr(simharness.multiprocessing, "Pool", SerialPool)
+        cfg = small_config(
+            sweep=SweepSpec("n_nodes", nodes), runs=runs, workers=workers
+        )
+        result = run_experiment(cfg)
+        assert opened == pools
+        assert result.rows == run_experiment(replace(cfg, workers=1)).rows
 
     def test_seed_changes_results(self):
         a = run_experiment(small_config(seed=1))
@@ -368,6 +400,25 @@ class TestFigureDatasets:
             Algorithm.DIJKSTRA_STATIC.value,
         }
         assert res.config["dijkstra_weight"] == "distance_squared"
+
+    @pytest.mark.parametrize("name", ["fig5", "fig6"])
+    def test_default_config_is_the_figure_entry(self, monkeypatch, name):
+        # one run of one session per cell: only the echoed config is checked
+        run = simharness.run_experiment
+        monkeypatch.setattr(
+            simharness,
+            "run_experiment",
+            lambda cfg: run(replace(cfg, runs=1, sessions_per_run=1)),
+        )
+        dataset = {"fig5": figure5_dataset, "fig6": figure6_dataset}[name]
+        time_step = dataset().config["mobility"]["time_step"]
+        assert time_step == FIGURES[name].mobility.time_step == 30.0
+
+    def test_given_config_keeps_its_time_step(self):
+        # only FIGURES["fig5"] carries the figure's 30 s hop
+        res = figure5_dataset(ExperimentConfig(runs=1, sessions_per_run=2))
+        assert res.config["mobility"]["time_step"] == 1.0
+        assert res.config["sweep"]["name"] == "mean_speed"
 
     def test_speed_sweep_applies_to_mobility(self):
         cfg = ExperimentConfig(
