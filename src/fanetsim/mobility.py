@@ -35,6 +35,7 @@ __all__ = ["Fleet", "MobilityConfig", "MobilityMode", "trajectory_rows"]
 
 _TWO_PI = 2.0 * math.pi
 _MAX_SIDES_PER_STEP = 1000  # mean travel per step, in square sides
+_NOISE_BLOCK = 8  # prediction steps of noise drawn per call on a node's stream
 
 # Stream namespaces for per-node generators.
 _STREAM_INIT = 0
@@ -276,6 +277,8 @@ class Fleet:
         self._time_in_state = np.zeros(n)
         self._motion_rngs: list[np.random.Generator | None] = [None] * n
         self._noise_rngs = [self._rng(i, _STREAM_NOISE) for i in range(n)]
+        self._noise_block = np.empty((n, 0, 2))  # [node, step, axis], drawn ahead
+        self._noise_next = 0  # the block's next unread step
         self.time = 0.0
 
     def _rng(self, node_id: int, stream: int) -> np.random.Generator:
@@ -358,14 +361,28 @@ class Fleet:
     def predicted_positions(self) -> np.ndarray:
         """Every node's current kinematics extrapolated ``cfg.horizon``
         seconds ahead (no renewal or reflection is anticipated), plus
-        per-node Gaussian noise of per-axis variance ``prediction_noise_var``."""
+        per-node Gaussian noise of per-axis variance ``prediction_noise_var``.
+
+        Each call reads the next ``normal(0, sigma, 2)`` draw of every
+        node's noise stream.  The draws come ``_NOISE_BLOCK`` calls at a
+        time, one ``normal`` call per node; a generator yields the same
+        values in one call of 2k as in k calls of 2, and nothing else
+        reads the noise streams."""
         horizon = self.cfg.horizon
         noise_var = self.cfg.prediction_noise_var
         xy = self._xy if horizon == 0.0 else self._displace(horizon)[0]
         out = xy.T.copy()
         if noise_var > 0.0:
-            sigma = math.sqrt(noise_var)
-            out += np.array([g.normal(0.0, sigma, 2) for g in self._noise_rngs])
+            k = self._noise_next
+            if k == self._noise_block.shape[1]:
+                sigma = math.sqrt(noise_var)
+                shape = (_NOISE_BLOCK, 2)
+                self._noise_block = np.array(
+                    [g.normal(0.0, sigma, shape) for g in self._noise_rngs]
+                )
+                k = 0
+            out += self._noise_block[:, k]
+            self._noise_next = k + 1
         return out
 
 

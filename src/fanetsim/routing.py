@@ -7,20 +7,25 @@ forwarding re-decides at every hop: the predictive variant reads each
 step's predicted positions (which, at the default one-step prediction
 horizon, estimate exactly where nodes will be when the packet lands),
 while the static variant keeps deciding on the snapshot frozen at session
-start.  The Dijkstra baseline plans its whole path once on the
-session-start true positions and never replans.  It searches with A*
-toward the destination for ``distance`` weights (straight-line heuristic
-on the true positions) and with plain Dijkstra for ``distance_squared``;
-both return a minimum-weight path, and only the choice among paths of
-exactly equal weight may differ from an uninformed Dijkstra's.  It reads
-the snapshot's memoised link lists (``ContactSnapshot.links``), which
-every search on that snapshot shares.  Whatever positions the decision
-used, link validity and all metrics (link length, progress) are
-evaluated on the true positions at transmit time, i.e. on the snapshot
-where the transmission completes: a decided hop whose true length
-exceeds the transmission radius there breaks the session.  Every
-session runs these rules in one hop loop, ``_forward``; ``route_greedy``
-and ``execute_path`` differ only in how they choose each relay.
+start.  A hop choice takes its candidates from
+``ContactSnapshot.neighbors`` and scores them with ``math.hypot`` on
+plain floats read through the snapshot's flat predicted-position view,
+the same doubles a numpy read gives.  The Dijkstra baseline plans its
+whole path once on the session-start true positions and never replans.
+It searches with A* toward the destination for ``distance`` weights
+(straight-line heuristic on the true positions) and with plain Dijkstra
+for ``distance_squared``; both return a minimum-weight path, and only
+the choice among paths of exactly equal weight may differ from an
+uninformed Dijkstra's.  It reads the snapshot's memoised link lists
+(``ContactSnapshot.links``), which every search on that snapshot shares,
+and keeps its per-node state in lists and a bytearray indexed by node.
+Whatever positions the decision used, link validity and all metrics
+(link length, progress) are evaluated on the true positions at transmit
+time, i.e. on the snapshot where the transmission completes: a decided
+hop whose true length exceeds the transmission radius there breaks the
+session.  Every session runs these rules in one hop loop, ``_forward``;
+``route_greedy`` and ``execute_path`` differ only in how they choose
+each relay.
 """
 
 from __future__ import annotations
@@ -97,10 +102,6 @@ class SessionOutcome:
         return self.status is SessionStatus.DELIVERED
 
 
-def _dist_to(pos: np.ndarray, i: int, point: np.ndarray) -> float:
-    return float(math.hypot(pos[i, 0] - point[0], pos[i, 1] - point[1]))
-
-
 def greedy_next_hop(
     snap: ContactSnapshot,
     current: int,
@@ -122,12 +123,16 @@ def greedy_next_hop(
         return None
     if dest in nbrs:
         return dest
-    pos = snap.predicted_positions
-    target = pos[dest] if dest_pos is None else dest_pos
+    m = snap._predicted_xy
+    if dest_pos is None:
+        tx, ty = m[2 * dest], m[2 * dest + 1]
+    else:
+        tx, ty = float(dest_pos[0]), float(dest_pos[1])
+    hypot = math.hypot
     best = None
-    best_d = _dist_to(pos, current, target)
+    best_d = hypot(m[2 * current] - tx, m[2 * current + 1] - ty)
     for j in sorted(nbrs):
-        dj = _dist_to(pos, j, target)
+        dj = hypot(m[2 * j] - tx, m[2 * j + 1] - ty)
         if dj < best_d:
             best, best_d = j, dj
     return best
@@ -210,36 +215,41 @@ def route_dijkstra(
     """
     if source == dest:
         raise ValueError("source and destination must differ")
+    snap._check_index(source)
     snap._check_index(dest)
+    n = snap.n_nodes
     squared = weight is PathWeight.DISTANCE_SQUARED
     if squared:
-        h = [0.0] * snap.n_nodes  # no useful lower bound on summed squares
+        h = [0.0] * n  # no useful lower bound on summed squares
     else:
         pos = snap.true_positions
         h = np.hypot(pos[:, 0] - pos[dest, 0], pos[:, 1] - pos[dest, 1]).tolist()
-    dist = {source: 0.0}
-    prev: dict[int, int] = {}
-    done: set[int] = set()
+    inf = math.inf
+    dist = [inf] * n
+    dist[source] = 0.0
+    prev = [-1] * n
+    done = bytearray(n)
+    heappush, heappop = heapq.heappush, heapq.heappop
     heap: list[tuple[float, int]] = [(h[source], source)]
     while heap:
-        _, u = heapq.heappop(heap)
-        if u in done:
+        _, u = heappop(heap)
+        if done[u]:
             continue
         if u == dest:
             break
-        done.add(u)
+        done[u] = 1
         d_u = dist[u]
         for v, w in snap.links(u):
-            if v in done:
+            if done[v]:
                 continue
             if squared:
                 w = w * w
             alt = d_u + w
-            if alt < dist.get(v, math.inf):
+            if alt < dist[v]:
                 dist[v] = alt
                 prev[v] = u
-                heapq.heappush(heap, (alt + h[v], v))
-    if dest not in dist:
+                heappush(heap, (alt + h[v], v))
+    if dist[dest] == inf:
         return None
     path = [dest]
     while path[-1] != source:

@@ -39,6 +39,7 @@ import json
 import math
 import multiprocessing
 import numbers
+import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 
@@ -419,7 +420,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         for si in range(len(cfg.sweep.values))
         for ri in range(cfg.runs)
     ]
-    processes = min(cfg.workers, len(tasks))
+    processes = min(cfg.workers, len(tasks), len(os.sched_getaffinity(0)))
     if processes > 1:
         with multiprocessing.Pool(processes) as pool:
             results = pool.starmap(_run_one, tasks, chunksize=1)

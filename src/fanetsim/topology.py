@@ -6,6 +6,10 @@ forwarding decisions).  Neighborhoods follow the unit-disk rule: an edge
 exists iff the Euclidean distance is at most the transmission radius,
 boundary inclusive.  ``links`` adds the true-position link lengths and
 keeps them, so all shortest-path searches on a snapshot share its edges.
+Positions are stored as C-ordered float64 ``(n, 2)`` arrays, and each has
+a flat ``memoryview`` (``[x0, y0, x1, y1, ...]``) through which per-pair
+arithmetic reads plain Python floats: the same doubles, without numpy
+scalar overhead.
 """
 
 from __future__ import annotations
@@ -29,8 +33,20 @@ class ContactSnapshot:
     comm_range: float
     # node -> (neighbor indices, link lengths), filled by links()
     _links: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # flat views over true_positions and predicted_positions
+    _true_xy: memoryview = field(init=False, repr=False, compare=False)
+    _predicted_xy: memoryview = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name, view in (
+            ("true_positions", "_true_xy"),
+            ("predicted_positions", "_predicted_xy"),
+        ):
+            pos = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            if pos.ndim != 2 or pos.shape[1] != 2:
+                raise ValueError(f"{name} must have shape (n, 2), got {pos.shape}")
+            object.__setattr__(self, name, pos)
+            object.__setattr__(self, view, memoryview(pos.reshape(-1)))
         if len(self.true_positions) != len(self.predicted_positions):
             raise ValueError(
                 "true and predicted position lists differ in length: "
@@ -38,6 +54,12 @@ class ContactSnapshot:
             )
         if self.comm_range <= 0.0:
             raise ValueError(f"comm_range must be > 0, got {self.comm_range!r}")
+
+    def __reduce__(self):
+        # memoryviews do not pickle; the views are rebuilt from the arrays
+        return type(self), (
+            self.time, self.true_positions, self.predicted_positions, self.comm_range
+        )
 
     @classmethod
     def of_fleet(cls, fleet, comm_range: float) -> "ContactSnapshot":
@@ -59,10 +81,12 @@ class ContactSnapshot:
 
     def distance(self, i: int, j: int) -> float:
         """Euclidean distance between nodes i and j on the true positions."""
-        self._check_index(i)
-        self._check_index(j)
-        pos = self.true_positions
-        return float(math.hypot(pos[i, 0] - pos[j, 0], pos[i, 1] - pos[j, 1]))
+        n = self.n_nodes
+        if not (0 <= i < n and 0 <= j < n):
+            self._check_index(i)
+            self._check_index(j)
+        m = self._true_xy
+        return math.hypot(m[2 * i] - m[2 * j], m[2 * i + 1] - m[2 * j + 1])
 
     def _row(self, i: int, use_predicted: bool):
         """Node i's neighbor indices and every node's x, y offset from i."""

@@ -245,6 +245,34 @@ class TestFleet:
         assert np.array_equal(fleet.true_positions(), fleet.predicted_positions())
 
 
+class TestNoiseBlocks:
+    """Noise is drawn several predictions ahead, as the same stream values."""
+
+    def test_repeated_predictions_read_successive_draws(self):
+        cfg = MobilityConfig(prediction_noise_var=7.0)
+        n, seed, calls = 6, 13, 21  # past two blocks of draws
+        fleet = Fleet(cfg, n, seed)
+        for _ in range(3):
+            fleet.advance()
+        exact = Fleet(MobilityConfig(prediction_noise_var=0.0), n, seed)
+        for _ in range(3):
+            exact.advance()
+        base = exact.predicted_positions()
+        noise = [node_rng(seed, i, 2) for i in range(n)]
+        sigma = math.sqrt(cfg.prediction_noise_var)
+        for _ in range(calls):
+            draws = np.array([g.normal(0.0, sigma, 2) for g in noise])
+            assert fleet.predicted_positions().tobytes() == (base + draws).tobytes()
+
+    def test_zero_noise_draws_nothing(self):
+        fleet = Fleet(MobilityConfig(prediction_noise_var=0.0), 5, 8)
+        before = [g.bit_generator.state for g in fleet._noise_rngs]
+        for _ in range(20):
+            fleet.predicted_positions()
+            fleet.advance()
+        assert [g.bit_generator.state for g in fleet._noise_rngs] == before
+
+
 def _reference_run(cfg, n, seed, n_steps, order):
     """Per-node ``step``/``predict_position`` states and positions after
     each of 0..n_steps steps, stepping the nodes in ``order``."""

@@ -82,6 +82,61 @@ class TestGreedyNextHop:
                 greedy_next_hop(snap, 0, dest)
 
 
+# Points on a 1 km grid, some nudged by 0.1 um: many exact distance ties
+# (equal or mirrored points) and near-ties.  No squared grid distance lies
+# within 0.1 km^2 of a range's square, so the range test has no boundary
+# case on which hypot and the squared comparison could disagree.
+_GRID_POINT = st.tuples(
+    st.integers(0, 6), st.integers(0, 6), st.sampled_from((0.0, 0.0, 1e-7, -1e-7))
+).map(lambda p: (1_000.0 * p[0] + p[2], 1_000.0 * p[1] - p[2]))
+_GRID_RANGES = (1_500.0, 2_500.0, 3_300.0)
+
+
+class TestGreedyTies:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pts=st.lists(_GRID_POINT, min_size=3, max_size=14),
+        r=st.sampled_from(_GRID_RANGES),
+        data=st.data(),
+    )
+    def test_matches_brute_force_on_ties(self, pts, r, data):
+        pos = np.array(pts)
+        n = len(pos)
+        cur = data.draw(st.integers(0, n - 1))
+        dest = data.draw(st.integers(0, n - 1).filter(lambda d: d != cur))
+        snap = snap_from(pos, comm_range=r)
+        # the destination wins whenever it is in range; the oracle's argmin
+        # would tie it with any node at its position
+        if math.hypot(*(pos[cur] - pos[dest])) <= r:
+            expected = dest
+        else:
+            expected = brute_greedy_next_hop(pos, r, cur, dest)
+        assert greedy_next_hop(snap, cur, dest) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pts=st.lists(_GRID_POINT, min_size=3, max_size=14),
+        target=_GRID_POINT,
+        r=st.sampled_from(_GRID_RANGES),
+        data=st.data(),
+    )
+    def test_destination_override_matches_brute_force(self, pts, target, r, data):
+        pos = np.array(pts)
+        n = len(pos)
+        cur = data.draw(st.integers(0, n - 1))
+        dest = data.draw(st.integers(0, n - 1).filter(lambda d: d != cur))
+        p = np.array(target)
+        assume(math.hypot(*(pos[cur] - pos[dest])) > r)
+        assume(math.hypot(*(pos[cur] - p)) > r)
+        # the believed location as an extra, out-of-range node
+        expected = brute_greedy_next_hop(np.vstack([pos, p]), r, cur, n)
+        snap = snap_from(pos, comm_range=r)
+        for dest_pos in (p, p.tolist()):
+            assert greedy_next_hop(snap, cur, dest, dest_pos=dest_pos) == expected
+        own = greedy_next_hop(snap, cur, dest, dest_pos=pos[dest])
+        assert own == greedy_next_hop(snap, cur, dest)
+
+
 class TestRouteGreedy:
     def test_chain_is_delivered_with_decreasing_remaining(self):
         pos = [(0, 0), (4_500, 0), (9_000, 0), (13_000, 0)]
@@ -198,6 +253,21 @@ class TestRouteDijkstra:
         for dest in (-1, 3, 99):
             with pytest.raises(IndexError):
                 route_dijkstra(snap, 0, dest)
+
+    @pytest.mark.parametrize("weight", list(PathWeight))
+    def test_source_out_of_range_raises(self, weight):
+        snap = snap_from([(0, 0), (4_000, 0), (8_000, 0)])
+        for source in (-1, -3, 3, 99):
+            with pytest.raises(IndexError):
+                route_dijkstra(snap, source, 2, weight)
+
+    @pytest.mark.parametrize("weight", list(PathWeight))
+    def test_unreachable_destination_returns_none(self, weight):
+        # two components of two nodes; the search exhausts the source's
+        snap = snap_from([(0, 0), (4_000, 0), (20_000, 0), (24_000, 0)])
+        for source, dest in ((0, 2), (0, 3), (1, 3), (3, 0), (2, 1)):
+            assert route_dijkstra(snap, source, dest, weight) is None
+        assert route_dijkstra(snap, 3, 2, weight) == [3, 2]
 
     def test_weight_matches_bellman_ford(self):
         rng = np.random.default_rng(19)

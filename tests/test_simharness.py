@@ -128,14 +128,9 @@ class TestDeterminism:
         parallel = run_experiment(small_config(workers=3))
         assert serial.to_csv() == parallel.to_csv()
 
-    @pytest.mark.parametrize(
-        "workers, nodes, runs, pools",
-        [(5000, (8, 12), 1, [2]), (2, (8, 12), 6, [2]), (8, (8,), 1, [])],
-    )
-    def test_pool_capped_at_task_count(
-        self, monkeypatch, workers, nodes, runs, pools
-    ):
-        # a task is one run of one sweep value; one task runs without a pool
+    @pytest.fixture
+    def opened_pools(self, monkeypatch):
+        """The ``processes`` of every pool opened; each pool runs serially."""
         opened = []
 
         class SerialPool:
@@ -152,12 +147,43 @@ class TestDeterminism:
                 return [fn(*task) for task in tasks]
 
         monkeypatch.setattr(simharness.multiprocessing, "Pool", SerialPool)
+        return opened
+
+    @pytest.mark.parametrize(
+        "workers, nodes, runs, pools",
+        [(5000, (8, 12), 1, [2]), (2, (8, 12), 6, [2]), (8, (8,), 1, [])],
+    )
+    def test_pool_capped_at_task_count(
+        self, monkeypatch, opened_pools, workers, nodes, runs, pools
+    ):
+        # a task is one run of one sweep value; one task runs without a pool
+        # enough cores that the task count is the cap, on any host
+        monkeypatch.setattr(
+            simharness.os, "sched_getaffinity", lambda pid: set(range(64))
+        )
         cfg = small_config(
             sweep=SweepSpec("n_nodes", nodes), runs=runs, workers=workers
         )
         result = run_experiment(cfg)
-        assert opened == pools
+        assert opened_pools == pools
         assert result.rows == run_experiment(replace(cfg, workers=1)).rows
+
+    @pytest.mark.parametrize(
+        "workers, cores, pools", [(5000, 3, [3]), (2, 3, [2]), (5000, 1, [])]
+    )
+    def test_pool_capped_at_usable_cores(
+        self, monkeypatch, opened_pools, workers, cores, pools
+    ):
+        # 2 sweep values x 4 runs = 8 tasks; one usable core runs serially
+        monkeypatch.setattr(
+            simharness.os, "sched_getaffinity", lambda pid: set(range(cores))
+        )
+        cfg = small_config(
+            sweep=SweepSpec("n_nodes", (8, 12)), runs=4, workers=workers
+        )
+        result = run_experiment(cfg)
+        assert opened_pools == pools
+        assert result.to_csv() == run_experiment(replace(cfg, workers=1)).to_csv()
 
     def test_seed_changes_results(self):
         a = run_experiment(small_config(seed=1))

@@ -1,8 +1,11 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanetsim.mobility import Fleet, MobilityConfig
+from fanetsim.routing import greedy_next_hop
 from fanetsim.topology import ContactSnapshot, NetworkTrace
 
 from oracles import brute_force_neighbors
@@ -28,6 +31,7 @@ class TestContactSnapshot:
     def test_distance_pythagorean(self):
         snap = snap_from([(0.0, 0.0), (3.0, 4.0)])
         assert snap.distance(0, 1) == 5.0
+        assert type(snap.distance(0, 1)) is float
         assert snap.distance(0, 0) == 0.0
         assert snap.distance(1, 0) == snap.distance(0, 1)
 
@@ -86,6 +90,72 @@ class TestContactSnapshot:
         snap = snap_from(true_pos, comm_range=4_000.0, predicted=pred_pos)
         assert snap.neighbors(0, use_predicted=False) == {1}
         assert snap.neighbors(0, use_predicted=True) == {2}
+
+
+class TestPositionStorage:
+    """Positions are kept as C-ordered float64 (n, 2) arrays, which the
+    flat coordinate views read; any other layout is converted or refused."""
+
+    @pytest.mark.parametrize(
+        "bad", [np.zeros(4), np.zeros((3, 3)), np.zeros((3, 1)), np.zeros((2, 2, 2))]
+    )
+    def test_positions_not_shaped_n_by_2_rejected(self, bad):
+        good = np.zeros((len(bad), 2))
+        with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
+            ContactSnapshot(0.0, bad, good, 100.0)
+        with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
+            ContactSnapshot(0.0, good, bad, 100.0)
+
+    def test_empty_snapshot_allowed(self):
+        snap = ContactSnapshot(0.0, np.zeros((0, 2)), np.zeros((0, 2)), 1.0)
+        assert snap.n_nodes == 0
+
+    @staticmethod
+    def _layouts(pos):
+        """``pos`` as integer, Fortran-ordered and strided (sliced) arrays."""
+        wide = np.zeros((len(pos), 4), dtype=pos.dtype)
+        wide[:, ::2] = pos
+        return [pos.astype(np.int64), np.asfortranarray(pos), wide[:, ::2]]
+
+    @pytest.mark.parametrize("layout", range(3))
+    def test_any_layout_reads_as_a_float_copy(self, layout):
+        rng = np.random.default_rng(layout)
+        n, r = 25, 3_000.0
+        true_pos = rng.integers(0, 10_000, size=(n, 2)).astype(float)
+        pred_pos = rng.integers(0, 10_000, size=(n, 2)).astype(float)
+        ref = ContactSnapshot(0.0, true_pos.copy(), pred_pos.copy(), r)
+        odd_true = self._layouts(true_pos)[layout]
+        odd_pred = self._layouts(pred_pos)[layout]
+        assert not (odd_true.dtype == np.float64 and odd_true.flags.c_contiguous)
+        snap = ContactSnapshot(0.0, odd_true, odd_pred, r)
+        for pos in (snap.true_positions, snap.predicted_positions):
+            assert pos.dtype == np.float64 and pos.flags.c_contiguous
+        assert np.array_equal(snap.true_positions, true_pos)
+        assert np.array_equal(snap.predicted_positions, pred_pos)
+        for i in range(n):
+            assert [snap.distance(i, j) for j in range(n)] == [
+                ref.distance(i, j) for j in range(n)
+            ]
+            assert list(snap.links(i)) == list(ref.links(i))
+            for dest in range(n):
+                if dest != i:
+                    assert greedy_next_hop(snap, i, dest) == greedy_next_hop(
+                        ref, i, dest
+                    )
+
+    def test_pickle_round_trip(self):
+        rng = np.random.default_rng(3)
+        pos, pred = rng.uniform(0, 10_000, size=(2, 12, 2))
+        snap = snap_from(pos, predicted=pred)
+        list(snap.links(0))  # a kept link list is rebuilt, not carried
+        copy = pickle.loads(pickle.dumps(snap))
+        assert copy.time == snap.time and copy.comm_range == snap.comm_range
+        assert np.array_equal(copy.true_positions, snap.true_positions)
+        assert np.array_equal(copy.predicted_positions, snap.predicted_positions)
+        assert [copy.distance(0, j) for j in range(12)] == [
+            snap.distance(0, j) for j in range(12)
+        ]
+        assert list(copy.links(0)) == list(snap.links(0))
 
 
 class TestLinks:

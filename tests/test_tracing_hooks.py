@@ -59,3 +59,7 @@ def test_recorder_wraps_and_restores_the_library():
     assert m["routing.greedy.calls"] == 2 * attempted // 3
     assert m["routing.dijkstra.calls"] == attempted // 3
     assert m["routing.next_hop.calls"] > 0
+    # every greedy hop choice scans its neighbors through the wrapped
+    # method, and hops are judged through the wrapped distance
+    assert m["topology.neighbors.calls"] == m["routing.next_hop.calls"]
+    assert m["topology.distance.calls"] > 0
