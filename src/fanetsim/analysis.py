@@ -7,14 +7,15 @@ probability, its inverse (minimum range for a target isolation level),
 and the resulting delivery success probability.
 
 Each corridor end costs an adaptive quadrature of the progress CDF
-(whose integrand reads the lens area on plain floats through
-``geometry._lens_area``), so a report computes the hop corridor once and
-derives the travel corridor from it.  The upper end rates every hop at
-the worst-case mean progress, which depends on the network alone, so its
-quadrature runs once per :class:`NetworkParams` and is then read from a
-small bounded cache; the lower end depends on the distance and runs one
-quadrature per report when the destination is out of range, none when it
-is in range.  :func:`bounds_report` is the one corridor path; the
+(whose integrand reads the lens off sums and products of ``d``, ``R`` and
+``L`` that each ``ProgressDistribution`` computes once), so a report
+computes the hop corridor once and derives the travel corridor from it.
+The upper end rates every hop at the worst-case mean progress, which
+depends on the network alone, so its quadrature runs once per
+:class:`NetworkParams` and is then read from a small bounded cache; the
+lower end depends on the distance and runs one quadrature per report when
+the destination is out of range, none when it is in range.
+:func:`bounds_report` is the one corridor path; the
 ``fanetsim bounds`` command and the simulation harness's ``bound_*``
 columns both read it.
 """
@@ -25,7 +26,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .geometry import ProgressDistribution, _check_node_count, expected_progress
+from .geometry import ProgressDistribution, expected_progress
+from .geometry import _check_length, _check_node_count
 
 __all__ = [
     "BoundsReport",
@@ -49,8 +51,8 @@ class NetworkParams:
 
     def __post_init__(self) -> None:
         _check_node_count(self.n_nodes, 2)
-        if not (math.isfinite(self.area_side) and self.area_side > 0.0):
-            raise ValueError(f"area_side must be > 0, got {self.area_side!r}")
+        _check_length("area_side", self.area_side)
+        _check_length("comm_range", self.comm_range)
         diag = math.sqrt(2.0) * self.area_side
         if not (0.0 < self.comm_range <= diag):
             raise ValueError(

@@ -8,11 +8,12 @@ the best achievable progress per hop has a closed-form distribution built
 on that lens area; everything in this module is a pure function of its
 arguments.
 
-:func:`expected_progress` integrates :func:`progress_cdf`, which reads
-the lens through the private ``_lens_area`` on plain floats: the
-distribution's fields are validated once when it is built, so no
-:class:`LensParams` is built or checked per integrand evaluation.
-:func:`lens_area` is the public, validating entry to the same formula.
+:func:`expected_progress` integrates :func:`progress_cdf`.  A
+:class:`ProgressDistribution` validates its fields and computes the sums
+and products of ``d``, ``r`` and ``area_side`` that the integrand reads
+once, when it is built.  The one lens formula, the private ``_lens``,
+takes those terms and the small radius; :func:`lens_area` is its public,
+validating entry.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from typing import Callable
 
 __all__ = [
@@ -43,10 +45,6 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature exhausted its panel budget before converging."""
 
 
-def _clamp(v: float, lo: float, hi: float) -> float:
-    return lo if v < lo else hi if v > hi else v
-
-
 def _check_node_count(n, minimum: int) -> None:
     """Reject a node count that is a bool, not integral, or below ``minimum``.
 
@@ -57,6 +55,16 @@ def _check_node_count(n, minimum: int) -> None:
         raise ValueError(f"n_nodes must be an integer, got {n!r}")
     if n < minimum:
         raise ValueError(f"n_nodes must be >= {minimum}, got {n!r}")
+
+
+def _check_length(name: str, v) -> None:
+    """Reject a length unless it is finite and > 0, its square is a normal
+    float and twice that (a squared diagonal) is finite."""
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+    if not (v * v >= sys.float_info.min and 2.0 * v * v < math.inf):
+        raise ValueError(f"{name}={v!r} is out of range: {name}**2 must be "
+                         f"a normal float and 2*{name}**2 finite")
 
 
 @dataclass(frozen=True)
@@ -82,31 +90,41 @@ def lens_area(p: LensParams) -> float:
     with its arc-cosine arguments and radicand clamped so that exact
     tangency inputs cannot produce NaN through round-off.
     """
-    return _lens_area(p.d, p.r_big, p.r_small)
+    if p.d <= 0.0:
+        raise ValueError(f"center separation must be > 0, got {p.d!r}")
+    return _lens(_lens_terms(p.d, p.r_big), p.r_small)
 
 
-def _lens_area(d: float, rb: float, rs: float) -> float:
-    """:func:`lens_area` on plain floats the caller has already validated."""
-    if d <= 0.0:
-        raise ValueError(f"center separation must be > 0, got {d!r}")
-    if d + rb <= rs:  # big circle entirely inside the small one
+def _lens_terms(d: float, rb: float) -> tuple:
+    """The sums and products of ``d`` and ``rb`` that :func:`_lens` reads."""
+    return (d, rb, d + rb, d - rb, rb - d, d * d + rb * rb, 2.0 * d * rb,
+            d * d, rb * rb, 2.0 * d)
+
+
+def _lens(t: tuple, rs: float) -> float:
+    """Lens area from the terms ``t`` of a validated ``d`` > 0 and ``rb``, and
+    ``rs`` >= 0: the plain formula's operations in its order, bit for bit,
+    with the parts free of ``rs`` read off ``t``."""
+    d, rb, d_plus_rb, d_minus_rb, rb_minus_d, dd_rr, two_d_rb, dd, rr, two_d = t
+    if d_plus_rb <= rs:  # big circle entirely inside the small one
         return math.pi * rb * rb
     if d + rs <= rb:  # small circle entirely inside the big one
         return math.pi * rs * rs
-    if rs <= d - rb or rs == 0.0 or rb == 0.0:  # disjoint (or degenerate)
+    if rs <= d_minus_rb or rs == 0.0 or rb == 0.0:  # disjoint (or degenerate)
         return 0.0
-    a1 = _clamp((d * d + rb * rb - rs * rs) / (2.0 * d * rb), -1.0, 1.0)
-    a2 = _clamp((d * d + rs * rs - rb * rb) / (2.0 * d * rs), -1.0, 1.0)
-    radicand = (rb - d + rs) * (d - rb + rs) * (d + rb - rs) * (d + rb + rs)
+    ss = rs * rs
+    a1 = (dd_rr - ss) / two_d_rb
+    a1 = -1.0 if a1 < -1.0 else 1.0 if a1 > 1.0 else a1
+    a2 = (dd + ss - rr) / (two_d * rs)
+    a2 = -1.0 if a2 < -1.0 else 1.0 if a2 > 1.0 else a2
+    radicand = (rb_minus_d + rs) * (d_minus_rb + rs) * (d_plus_rb - rs) * (d_plus_rb + rs)
     if radicand < 0.0:
         radicand = 0.0
-    area = (
-        rb * rb * math.acos(a1)
-        + rs * rs * math.acos(a2)
-        - 0.5 * math.sqrt(radicand)
-    )
-    # Round-off guard only: mathematically 0 <= area <= min of the disk areas.
-    return _clamp(area, 0.0, math.pi * min(rb, rs) ** 2)
+    area = rr * math.acos(a1) + ss * math.acos(a2) - 0.5 * math.sqrt(radicand)
+    if area < 0.0:  # round-off guards: mathematically 0 <= area <= min disk area
+        return 0.0
+    cap = math.pi * (rs if rs < rb else rb) ** 2  # not rs * rs: it can differ
+    return cap if area > cap else area
 
 
 @dataclass(frozen=True)
@@ -125,17 +143,18 @@ class ProgressDistribution:
     r: float
     n_nodes: int
     area_side: float
+    # (lens terms of d and r, area_side squared, low and high limit of x)
+    _terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.d) and self.d > 0.0):
-            raise ValueError(f"d must be finite and > 0, got {self.d!r}")
-        if not (math.isfinite(self.r) and self.r > 0.0):
-            raise ValueError(f"r must be finite and > 0, got {self.r!r}")
+        for name in ("d", "r", "area_side"):
+            _check_length(name, getattr(self, name))
         _check_node_count(self.n_nodes, 1)
-        if not (math.isfinite(self.area_side) and self.area_side > 0.0):
-            raise ValueError(
-                f"area_side must be finite and > 0, got {self.area_side!r}"
-            )
+        d, r = self.d, self.r
+        slack = _REL_SLACK * max(d, r)
+        terms = (_lens_terms(d, r), self.area_side * self.area_side,
+                 d - r - slack, d + slack)
+        object.__setattr__(self, "_terms", terms)
 
     @property
     def p_zero(self) -> float:
@@ -149,15 +168,13 @@ def progress_tail(dist: ProgressDistribution, x: float) -> float:
     Valid for x in [d - r, d]; x below zero is equivalent to x = 0 since
     remaining distance is non-negative.
     """
-    d, r = dist.d, dist.r
-    slack = _REL_SLACK * max(d, r)
+    lens, area_sq, lo, hi = dist._terms
+    d = dist.d
     # Written so that a NaN x fails the test too.
-    if not (d - r - slack <= x <= d + slack):
-        raise ValueError(f"x={x!r} outside [d - r, d] = [{d - r!r}, {d!r}]")
-    # d and r were checked by ProgressDistribution and x_eff lies in [0, d],
-    # so the lens needs no LensParams validation on this hot path.
-    area = _lens_area(d, r, _clamp(x, 0.0, d))
-    base = _clamp(1.0 - area / (dist.area_side * dist.area_side), 0.0, 1.0)
+    if not (lo <= x <= hi):
+        raise ValueError(f"x={x!r} outside [d - r, d] = [{d - dist.r!r}, {d!r}]")
+    base = 1.0 - _lens(lens, 0.0 if x < 0.0 else d if x > d else x) / area_sq
+    base = 0.0 if base < 0.0 else 1.0 if base > 1.0 else base
     return base ** dist.n_nodes
 
 
@@ -167,7 +184,8 @@ def progress_cdf(dist: ProgressDistribution, y: float) -> float:
         return 0.0
     if y > dist.r:
         return 1.0
-    return progress_tail(dist, max(dist.d - y, 0.0))
+    x = dist.d - y
+    return progress_tail(dist, 0.0 if x < 0.0 else x)
 
 
 def expected_progress(
@@ -214,17 +232,16 @@ def adaptive_quadrature(
     if b == a:
         return 0.0
 
-    def simpson(flo: float, fmid: float, fhi: float, width: float) -> float:
-        return width * (flo + 4.0 * fmid + fhi) / 6.0
-
     def make_panel(lo: float, mid: float, hi: float,
                    flo: float, fmid: float, fhi: float) -> tuple:
-        coarse = simpson(flo, fmid, fhi, hi - lo)
+        # Simpson's rule on the panel and on each half
+        coarse = (hi - lo) * (flo + 4.0 * fmid + fhi) / 6.0
         lq = 0.5 * (lo + mid)
         rq = 0.5 * (mid + hi)
         flq = f(lq)
         frq = f(rq)
-        fine = simpson(flo, flq, fmid, mid - lo) + simpson(fmid, frq, fhi, hi - mid)
+        fine = ((mid - lo) * (flo + 4.0 * flq + fmid) / 6.0
+                + (hi - mid) * (fmid + 4.0 * frq + fhi) / 6.0)
         err = abs(fine - coarse) / 15.0
         value = fine + (fine - coarse) / 15.0  # Richardson extrapolation
         return (lo, lq, mid, rq, hi, flo, flq, fmid, frq, fhi, value, err)

@@ -52,8 +52,8 @@ class ContactSnapshot:
                 "true and predicted position lists differ in length: "
                 f"{len(self.true_positions)} vs {len(self.predicted_positions)}"
             )
-        if self.comm_range <= 0.0:
-            raise ValueError(f"comm_range must be > 0, got {self.comm_range!r}")
+        if not 0.0 < self.comm_range < math.inf:  # NaN would empty every row
+            raise ValueError(f"comm_range must be finite and > 0, got {self.comm_range!r}")
 
     def __reduce__(self):
         # memoryviews do not pickle; the views are rebuilt from the arrays

@@ -6,7 +6,10 @@ shortest paths from Bellman-Ford, neighbor sets from O(n^2) scans, and
 mobility from stepping one node at a time on ``SeedSequence`` generators.
 The one exception: that mobility reference deploys and renews nodes
 through ``fanetsim.mobility._deploy`` and ``_renewal_draw``, as ``Fleet``
-does, so both sides consume each node's stream in one order.
+does, so both sides consume each node's stream in one order.  The plain
+lens and progress-tail arithmetic (``plain_lens_area`` and friends) is the
+library's formula written out on the raw lengths, with nothing computed
+ahead, as the reference its per-distribution terms must match bit for bit.
 """
 
 from __future__ import annotations
@@ -70,6 +73,58 @@ def lens_area_segments(d: float, r1: float, r2: float) -> float:
     seg1 = r1 * r1 * math.acos(a1) - d1 * math.sqrt(max(r1 * r1 - d1 * d1, 0.0))
     seg2 = r2 * r2 * math.acos(a2) - d2 * math.sqrt(max(r2 * r2 - d2 * d2, 0.0))
     return seg1 + seg2
+
+
+def _clamp(v: float, lo: float, hi: float) -> float:
+    return lo if v < lo else hi if v > hi else v
+
+
+def plain_lens_area(d: float, rb: float, rs: float) -> float:
+    """Two-circle intersection on the raw lengths, every product formed in
+    place: the arithmetic the library's lens must reproduce exactly."""
+    if d <= 0.0:
+        raise ValueError(f"center separation must be > 0, got {d!r}")
+    if d + rb <= rs:  # big circle entirely inside the small one
+        return math.pi * rb * rb
+    if d + rs <= rb:  # small circle entirely inside the big one
+        return math.pi * rs * rs
+    if rs <= d - rb or rs == 0.0 or rb == 0.0:  # disjoint (or degenerate)
+        return 0.0
+    a1 = _clamp((d * d + rb * rb - rs * rs) / (2.0 * d * rb), -1.0, 1.0)
+    a2 = _clamp((d * d + rs * rs - rb * rb) / (2.0 * d * rs), -1.0, 1.0)
+    radicand = (rb - d + rs) * (d - rb + rs) * (d + rb - rs) * (d + rb + rs)
+    if radicand < 0.0:
+        radicand = 0.0
+    area = (
+        rb * rb * math.acos(a1)
+        + rs * rs * math.acos(a2)
+        - 0.5 * math.sqrt(radicand)
+    )
+    # Round-off guard only: mathematically 0 <= area <= min of the disk areas.
+    return _clamp(area, 0.0, math.pi * min(rb, rs) ** 2)
+
+
+def plain_progress_tail(
+    d: float, r: float, n_nodes: int, area_side: float, x: float
+) -> float:
+    """P[remaining distance >= x] on the raw lengths, via plain_lens_area."""
+    slack = 1e-9 * max(d, r)
+    if not (d - r - slack <= x <= d + slack):
+        raise ValueError(f"x={x!r} outside [d - r, d] = [{d - r!r}, {d!r}]")
+    area = plain_lens_area(d, r, _clamp(x, 0.0, d))
+    base = _clamp(1.0 - area / (area_side * area_side), 0.0, 1.0)
+    return base ** n_nodes
+
+
+def plain_progress_cdf(
+    d: float, r: float, n_nodes: int, area_side: float, y: float
+) -> float:
+    """P[progress <= y], piecewise over y < 0, [0, r] and y > r."""
+    if y < 0.0:
+        return 0.0
+    if y > r:
+        return 1.0
+    return plain_progress_tail(d, r, n_nodes, area_side, max(d - y, 0.0))
 
 
 def mc_best_progress(

@@ -40,6 +40,23 @@ class TestNetworkParams:
         with pytest.raises(ValueError, match="n_nodes must be an integer"):
             NetworkParams(n, 10_000.0, 5_000.0)
 
+    # their squares underflow or overflow: 1e154 squares to a finite float
+    # but its diagonal's square, 2 * area_side**2, overflows
+    @pytest.mark.parametrize(
+        "area_side, comm_range, name",
+        [
+            (1e-300, 1e-300, "area_side"),
+            (1e300, 1e300, "area_side"),
+            (1e154, 1e153, "area_side"),
+            (1e-150, 1e-160, "comm_range"),
+        ],
+    )
+    def test_lengths_with_unrepresentable_squares_rejected(
+        self, area_side, comm_range, name
+    ):
+        with pytest.raises(ValueError, match=f"^{name}=.* is out of range"):
+            NetworkParams(10, area_side, comm_range)
+
     def test_integral_float_node_count_accepted(self):
         net = NetworkParams(10.0, 10_000.0, 5_000.0)
         assert net == NET

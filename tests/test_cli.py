@@ -159,6 +159,19 @@ class TestBoundsCommand:
         assert main(["bounds", "--n", "1", "--l", "10", "--r", "5", "--d", "3"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    # 1e-300 squared underflows (a division by zero in the lens) and
+    # 1e300 squared overflows; both used to exit 1 mid-report
+    @pytest.mark.parametrize("length", ["1e-300", "1e300"])
+    def test_unrepresentable_squares_exit_2(self, capsys, length):
+        code = main(["bounds", "--n", "10", "--l", length, "--r", length,
+                     "--d", length])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"config error: area_side={float(length)!r} is out of range" in (
+            captured.err
+        )
+        assert captured.out == ""
+
     @pytest.mark.parametrize("epsilon", ["1.5", "nan", "0"])
     def test_invalid_epsilon_exits_2_before_the_table(self, capsys, epsilon):
         code = main(["bounds", "--n", "10", "--l", "10km", "--r", "5km",

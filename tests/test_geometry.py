@@ -1,8 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fanetsim.geometry import (
     LensParams,
@@ -15,7 +16,14 @@ from fanetsim.geometry import (
     progress_tail,
 )
 
-from oracles import lens_area_segments, mc_best_progress, mc_lens_area
+from oracles import (
+    lens_area_segments,
+    mc_best_progress,
+    mc_lens_area,
+    plain_lens_area,
+    plain_progress_cdf,
+    plain_progress_tail,
+)
 
 # Frozen rejection-sampling results (10^7 samples at the stated seed),
 # recorded once with oracles.mc_lens_area.
@@ -129,6 +137,15 @@ class TestProgressDistribution:
     def test_integral_float_node_count_accepted(self):
         assert expected_progress(self.dist(n=10.0)) == expected_progress(self.dist(n=10))
 
+    # 1e-300 squared underflows to 0 and 1e300 squared overflows, which
+    # the lens formula would divide by or raise on mid-quadrature
+    @pytest.mark.parametrize("field", ["d", "r", "area"])
+    @pytest.mark.parametrize("value", [1e-300, 1e-155, 1e300, 1e154])
+    def test_lengths_with_unrepresentable_squares_rejected(self, field, value):
+        name = "area_side" if field == "area" else field
+        with pytest.raises(ValueError, match=re.escape(f"{name}={value!r} is out")):
+            self.dist(**{field: value})
+
     def test_tail_is_one_at_far_edge(self):
         d = self.dist()
         assert progress_tail(d, d.d - d.r) == 1.0
@@ -197,6 +214,59 @@ class TestProgressDistribution:
             big = ProgressDistribution(d=d_big, r=r, n_nodes=n, area_side=side)
             small = ProgressDistribution(d=d_small, r=r, n_nodes=n, area_side=side)
             assert 1.0 - progress_cdf(big, y) >= 1.0 - progress_cdf(small, y) - 1e-12
+
+
+@st.composite
+def _lengths(draw):
+    """(d, r, area_side) on one random scale, from 1e-3 to 1e6."""
+    scale = draw(st.floats(1e-3, 1e6))
+    return tuple(scale * draw(st.floats(0.05, 20.0)) for _ in range(3))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError:
+        return ValueError
+
+
+class TestPerDistributionTerms:
+    """The terms a distribution computes once change no float: lens, tail
+    and CDF equal the plain formula on the raw lengths with ``==``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lengths=_lengths(),
+        n=st.one_of(st.integers(1, 1000), st.integers(1, 1000).map(float)),
+        frac=st.floats(-0.1, 1.1),
+    )
+    @example(lengths=(7500.0, 5000.0, 1e4), n=10, frac=0.0)  # y = 0
+    @example(lengths=(7500.0, 5000.0, 1e4), n=10, frac=0.5)  # y = d - r
+    # y = r: the tail at x = d - r, where the lens is tangent (rs = d - r)
+    @example(lengths=(7500.0, 5000.0, 1e4), n=10, frac=1.0)
+    @example(lengths=(3000.0, 5000.0, 1e4), n=10, frac=0.8)  # y >= d: x clamps to 0
+    @example(lengths=(7500.0, 5000.0, 1e4), n=10.0, frac=0.3)  # integral float
+    def test_equal_to_plain_formula(self, lengths, n, frac):
+        d, r, side = lengths
+        dist = ProgressDistribution(d=d, r=r, n_nodes=n, area_side=side)
+        y = frac * r
+        x = d - y
+        assert progress_cdf(dist, y) == plain_progress_cdf(d, r, n, side, y)
+        assert _outcome(progress_tail, dist, x) == _outcome(
+            plain_progress_tail, d, r, n, side, x
+        )
+        rs = min(max(x, 0.0), d)
+        assert lens_area(LensParams(d, r, rs)) == plain_lens_area(d, r, rs)
+        assert lens_area(LensParams(d, rs, r)) == plain_lens_area(d, rs, r)
+
+    # near internal tangency the round-off cap pi * rs**2 binds, and there
+    # rs**2 and rs * rs differ in the last bit
+    @pytest.mark.parametrize(
+        "d, rs", [(0.0843146558632361, 0.915685345047249),
+                  (0.43749502803950757, 0.5625049719606106)]
+    )
+    def test_lens_cap_equal_to_plain_formula(self, d, rs):
+        assert lens_area(LensParams(d, 1.0, rs)) == plain_lens_area(d, 1.0, rs)
 
 
 class TestExpectedProgress:

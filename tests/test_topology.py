@@ -28,6 +28,13 @@ class TestContactSnapshot:
         with pytest.raises(ValueError):
             snap_from([(0, 0), (1, 1)], comm_range=0.0)
 
+    # a NaN range used to pass and leave every row empty, even between
+    # nodes at one position
+    @pytest.mark.parametrize("comm_range", [float("nan"), float("inf")])
+    def test_range_must_be_finite(self, comm_range):
+        with pytest.raises(ValueError, match="comm_range must be finite"):
+            snap_from([(0, 0), (0, 0), (0, 0)], comm_range=comm_range)
+
     def test_distance_pythagorean(self):
         snap = snap_from([(0.0, 0.0), (3.0, 4.0)])
         assert snap.distance(0, 1) == 5.0

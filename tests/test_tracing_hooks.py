@@ -12,7 +12,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from fanetsim import routing, simharness
+from fanetsim import analysis, geometry, routing, simharness
+from fanetsim.analysis import NetworkParams
 from fanetsim.mobility import MobilityConfig
 from fanetsim.simharness import Algorithm, ExperimentConfig, SweepSpec, run_experiment
 
@@ -63,3 +64,39 @@ def test_recorder_wraps_and_restores_the_library():
     # method, and hops are judged through the wrapped distance
     assert m["topology.neighbors.calls"] == m["routing.next_hop.calls"]
     assert m["topology.distance.calls"] > 0
+
+
+def test_recorder_counts_every_integrand_evaluation(monkeypatch):
+    # One report with d > R on a cold cache runs two quadratures.  The
+    # evaluations are counted at adaptive_quadrature's integrand, not at
+    # the progress_cdf global the tracer wraps, so a quadrature whose
+    # integrand bypasses that global fails here.
+    evals = 0
+    quadrature = geometry.adaptive_quadrature
+
+    def counting_quadrature(f, *args, **kwargs):
+        def counted(y):
+            nonlocal evals
+            evals += 1
+            return f(y)
+
+        return quadrature(counted, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "adaptive_quadrature", counting_quadrature)
+    cdf = geometry.progress_cdf
+    analysis._worst_case_progress.cache_clear()
+    rec = tracing.Recorder()
+    rec.install()
+    try:
+        analysis.bounds_report(NetworkParams(10, 10_000.0, 5_000.0), 7_500.0)
+    finally:
+        rec.uninstall()
+    analysis._worst_case_progress.cache_clear()
+    assert geometry.progress_cdf is cdf
+    assert rec.check_spans() is None
+
+    m = rec.layer_metrics()
+    assert m["analysis.bounds_report.calls"] == 1
+    assert m["geometry.expected_progress.calls"] == 2
+    assert evals > 0
+    assert m["geometry.integrand_evals"] == evals
