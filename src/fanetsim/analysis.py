@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import ProgressDistribution, expected_progress
-from .geometry import _check_length, _check_node_count
+from .geometry import _check_length, _check_lens_length, _check_node_count
 
 __all__ = [
     "BoundsReport",
@@ -52,7 +52,7 @@ class NetworkParams:
     def __post_init__(self) -> None:
         _check_node_count(self.n_nodes, 2)
         _check_length("area_side", self.area_side)
-        _check_length("comm_range", self.comm_range)
+        _check_lens_length("comm_range", self.comm_range)
         diag = math.sqrt(2.0) * self.area_side
         if not (0.0 < self.comm_range <= diag):
             raise ValueError(

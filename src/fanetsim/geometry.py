@@ -67,19 +67,40 @@ def _check_length(name: str, v) -> None:
                          f"a normal float and 2*{name}**2 finite")
 
 
+def _check_lens_length(name: str, v) -> None:
+    """:func:`_check_length`, and also reject a length whose fourth power is
+    not a normal float or whose triple's fourth power overflows: the lens
+    radicand multiplies four sums of up to three such lengths."""
+    _check_length(name, v)
+    v4 = v * v * v * v
+    if not (v4 >= sys.float_info.min and 81.0 * v4 < math.inf):
+        raise ValueError(f"{name}={v!r} is out of range: {name}**4 must be "
+                         f"a normal float and (3*{name})**4 finite")
+
+
 @dataclass(frozen=True)
 class LensParams:
-    """Two circles with center separation ``d`` and radii ``r_big``, ``r_small``."""
+    """Two circles with center separation ``d`` and radii ``r_big``, ``r_small``.
+
+    ``d`` must pass the lens length check.  A radius may be 0 or as small
+    as a float goes (the formula's early returns catch every radius too
+    small to divide by), but not so large that its triple's fourth power
+    overflows.
+    """
 
     d: float
     r_big: float
     r_small: float
 
     def __post_init__(self) -> None:
-        for name in ("d", "r_big", "r_small"):
+        _check_lens_length("d", self.d)
+        for name in ("r_big", "r_small"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+            if 81.0 * v * v * v * v == math.inf:
+                raise ValueError(f"{name}={v!r} is out of range: "
+                                 f"(3*{name})**4 must be finite")
 
 
 def lens_area(p: LensParams) -> float:
@@ -90,8 +111,6 @@ def lens_area(p: LensParams) -> float:
     with its arc-cosine arguments and radicand clamped so that exact
     tangency inputs cannot produce NaN through round-off.
     """
-    if p.d <= 0.0:
-        raise ValueError(f"center separation must be > 0, got {p.d!r}")
     return _lens(_lens_terms(p.d, p.r_big), p.r_small)
 
 
@@ -147,8 +166,9 @@ class ProgressDistribution:
     _terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("d", "r", "area_side"):
-            _check_length(name, getattr(self, name))
+        _check_lens_length("d", self.d)
+        _check_lens_length("r", self.r)
+        _check_length("area_side", self.area_side)
         _check_node_count(self.n_nodes, 1)
         d, r = self.d, self.r
         slack = _REL_SLACK * max(d, r)

@@ -23,9 +23,11 @@ Whatever positions the decision used, link validity and all metrics
 (link length, progress) are evaluated on the true positions at transmit
 time, i.e. on the snapshot where the transmission completes: a decided
 hop whose true length exceeds the transmission radius there breaks the
-session.  Every session runs these rules in one hop loop, ``_forward``;
-``route_greedy`` and ``execute_path`` differ only in how they choose
-each relay.
+session.  Every session runs these rules in one hop loop, ``_forward``,
+which reads the landing snapshot's flat true-position view once per hop
+and takes each length with the ``math.hypot`` expression of
+``ContactSnapshot.distance``, bit for bit; ``route_greedy`` and
+``execute_path`` differ only in how they choose each relay.
 """
 
 from __future__ import annotations
@@ -143,7 +145,8 @@ def _forward(sim, source: int, dest: int, max_hops: int, choose) -> SessionOutco
     relay of hop k, or None when there is none; the hop then occupies one
     time step of ``sim`` and is judged on the true positions where it
     completes.  Ends on arrival, a broken link, no relay, or ``max_hops``."""
-    d0 = sim.snapshot().distance(source, dest)
+    d0 = sim.snapshot().distance(source, dest)  # checks both indices
+    hypot = math.hypot
     hops: list[HopRecord] = []
     current = source
     status = SessionStatus.HOP_CAP  # unless the loop breaks out early
@@ -154,11 +157,17 @@ def _forward(sim, source: int, dest: int, max_hops: int, choose) -> SessionOutco
             break
         sim.advance()  # the transmission occupies this time step
         snap = sim.snapshot()
-        tx = snap.distance(current, nxt)
+        snap._check_index(nxt)
+        # distance(current, nxt), distance(current, dest) - distance(nxt, dest)
+        m = snap._true_xy
+        cx, cy = m[2 * current], m[2 * current + 1]
+        nx, ny = m[2 * nxt], m[2 * nxt + 1]
+        tx = hypot(cx - nx, cy - ny)
         if tx > snap.comm_range:
             status = SessionStatus.LINK_BROKEN
             break
-        progress = snap.distance(current, dest) - snap.distance(nxt, dest)
+        dest_x, dest_y = m[2 * dest], m[2 * dest + 1]
+        progress = hypot(cx - dest_x, cy - dest_y) - hypot(nx - dest_x, ny - dest_y)
         hops.append(HopRecord(current, nxt, tx, progress, snap.time))
         current = nxt
         if current == dest:

@@ -4,17 +4,21 @@ A snapshot carries both the true node positions (used for metric
 accounting and link validity) and the predicted positions (used for
 forwarding decisions).  Neighborhoods follow the unit-disk rule: an edge
 exists iff the Euclidean distance is at most the transmission radius,
-boundary inclusive.  ``links`` adds the true-position link lengths and
-keeps them, so all shortest-path searches on a snapshot share its edges.
-Positions are stored as C-ordered float64 ``(n, 2)`` arrays, and each has
-a flat ``memoryview`` (``[x0, y0, x1, y1, ...]``) through which per-pair
-arithmetic reads plain Python floats: the same doubles, without numpy
-scalar overhead.
+boundary inclusive.  A node's neighbor row on one position set is built
+once, by one numpy scan over the x and y columns, and kept on the
+snapshot as ascending indices; ``neighbors`` returns a new set of it on
+every call.  ``links`` pairs the kept true-position row with its link
+lengths, kept too, so all shortest-path searches on a snapshot share its
+edges.  Positions are stored as C-ordered float64 ``(n, 2)`` arrays, and
+each has a flat ``memoryview`` (``[x0, y0, x1, y1, ...]``) through which
+per-pair arithmetic reads plain Python floats: the same doubles, without
+numpy scalar overhead.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from dataclasses import dataclass, field
 
@@ -31,22 +35,29 @@ class ContactSnapshot:
     true_positions: np.ndarray
     predicted_positions: np.ndarray
     comm_range: float
-    # node -> (neighbor indices, link lengths), filled by links()
-    _links: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # node -> ascending neighbor indices, one dict per position set
+    _true_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _predicted_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # node -> true-position link lengths, in the order of its true row
+    _lengths: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # flat views over true_positions and predicted_positions
     _true_xy: memoryview = field(init=False, repr=False, compare=False)
     _predicted_xy: memoryview = field(init=False, repr=False, compare=False)
+    # (x, y) column views of true_positions and predicted_positions
+    _true_cols: tuple = field(init=False, repr=False, compare=False)
+    _predicted_cols: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name, view in (
-            ("true_positions", "_true_xy"),
-            ("predicted_positions", "_predicted_xy"),
+        for name, view, cols in (
+            ("true_positions", "_true_xy", "_true_cols"),
+            ("predicted_positions", "_predicted_xy", "_predicted_cols"),
         ):
             pos = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             if pos.ndim != 2 or pos.shape[1] != 2:
                 raise ValueError(f"{name} must have shape (n, 2), got {pos.shape}")
             object.__setattr__(self, name, pos)
             object.__setattr__(self, view, memoryview(pos.reshape(-1)))
+            object.__setattr__(self, cols, (pos[:, 0], pos[:, 1]))
         if len(self.true_positions) != len(self.predicted_positions):
             raise ValueError(
                 "true and predicted position lists differ in length: "
@@ -56,7 +67,7 @@ class ContactSnapshot:
             raise ValueError(f"comm_range must be finite and > 0, got {self.comm_range!r}")
 
     def __reduce__(self):
-        # memoryviews do not pickle; the views are rebuilt from the arrays
+        # memoryviews do not pickle; the views, columns and rows are rebuilt
         return type(self), (
             self.time, self.true_positions, self.predicted_positions, self.comm_range
         )
@@ -76,40 +87,65 @@ class ContactSnapshot:
         return len(self.true_positions)
 
     def _check_index(self, i: int) -> None:
+        """Reject a node index that is not an integer (a bool or 1.0 would
+        read node 1's kept row) or lies outside [0, n_nodes)."""
+        if type(i) is not int and (isinstance(i, bool) or not isinstance(i, numbers.Integral)):
+            raise TypeError(f"node index must be an integer, got {i!r}")
         if not (0 <= i < self.n_nodes):
             raise IndexError(f"node index {i} out of range [0, {self.n_nodes})")
 
     def distance(self, i: int, j: int) -> float:
         """Euclidean distance between nodes i and j on the true positions."""
         n = self.n_nodes
-        if not (0 <= i < n and 0 <= j < n):
+        if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
             self._check_index(i)
             self._check_index(j)
         m = self._true_xy
         return math.hypot(m[2 * i] - m[2 * j], m[2 * i + 1] - m[2 * j + 1])
 
-    def _row(self, i: int, use_predicted: bool):
-        """Node i's neighbor indices and every node's x, y offset from i."""
-        self._check_index(i)
-        pos = self.predicted_positions if use_predicted else self.true_positions
-        dx = pos[:, 0] - pos[i, 0]
-        dy = pos[:, 1] - pos[i, 1]
-        within = dx * dx + dy * dy <= self.comm_range * self.comm_range
+    def _row(self, i: int, use_predicted: bool) -> array:
+        """Node i's neighbor indices, ascending, on one position set."""
+        if use_predicted:
+            (x, y), m = self._predicted_cols, self._predicted_xy
+        else:
+            (x, y), m = self._true_cols, self._true_xy
+        dx = x - m[2 * i]
+        dy = y - m[2 * i + 1]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        within = dx <= self.comm_range * self.comm_range
         within[i] = False
-        return np.flatnonzero(within), dx, dy
+        return array("l", within.nonzero()[0].tolist())
+
+    def _kept_row(self, i: int, use_predicted: bool) -> array:
+        """Node i's row, built by ``_row`` on first use and then kept."""
+        if type(i) is not int:
+            self._check_index(i)
+        rows = self._predicted_rows if use_predicted else self._true_rows
+        row = rows.get(i)
+        if row is None:  # only checked indices are ever kept
+            self._check_index(i)
+            row = rows[i] = self._row(i, use_predicted)
+        return row
 
     def neighbors(self, i: int, use_predicted: bool = False) -> set[int]:
         """All nodes within comm_range of node i (excluding i itself)."""
-        return set(self._row(i, use_predicted)[0].tolist())
+        return set(self._kept_row(i, use_predicted))
 
     def links(self, i: int):
         """``(j, distance(i, j))`` over node i's true-position neighbors, bit
-        for bit (``hypot`` reads only magnitudes); built once per node."""
-        if i not in self._links:
-            idx, dx, dy = self._row(i, False)
-            hypots = map(math.hypot, dx[idx].tolist(), dy[idx].tolist())
-            self._links[i] = (array("l", idx.tolist()), array("d", hypots))
-        return zip(*self._links[i])
+        for bit (``hypot`` reads only magnitudes): the kept true row, with
+        its lengths built once per node."""
+        row = self._kept_row(i, False)
+        lengths = self._lengths.get(i)
+        if lengths is None:
+            m, hypot = self._true_xy, math.hypot
+            xi, yi = m[2 * i], m[2 * i + 1]
+            lengths = self._lengths[i] = array(
+                "d", [hypot(m[2 * j] - xi, m[2 * j + 1] - yi) for j in row]
+            )
+        return zip(row, lengths)
 
 
 class NetworkTrace:

@@ -57,6 +57,28 @@ class TestNetworkParams:
         with pytest.raises(ValueError, match=f"^{name}=.* is out of range"):
             NetworkParams(10, area_side, comm_range)
 
+    # the comm_range fourth power over- or underflows; both used to give a
+    # wrong corridor or a division by zero instead of an error
+    @pytest.mark.parametrize(
+        "area_side, comm_range", [(1e100, 5e99), (1e-100, 5e-101)]
+    )
+    def test_comm_range_with_unrepresentable_fourth_power_rejected(
+        self, area_side, comm_range
+    ):
+        with pytest.raises(ValueError, match="^comm_range=.* is out of range"):
+            NetworkParams(10, area_side, comm_range)
+
+    # the corridor is scale-free, and every accepted scale computes it
+    # to the last few bits, up to the edges of the lens length range
+    @pytest.mark.parametrize(
+        "comm_range", [1.23e-77, 1e-60, 1e-3, 1e3, 1e60, 2.5e76]
+    )
+    def test_corridor_is_the_same_at_every_accepted_scale(self, comm_range):
+        s = comm_range / 5_000.0
+        scaled = hop_bounds(NetworkParams(10, s * 10_000.0, comm_range), s * 7_500.0)
+        for got, want in zip(scaled, hop_bounds(NET, 7_500.0)):
+            assert got == pytest.approx(want, rel=1e-14)
+
     def test_integral_float_node_count_accepted(self):
         net = NetworkParams(10.0, 10_000.0, 5_000.0)
         assert net == NET

@@ -172,6 +172,18 @@ class TestBoundsCommand:
         )
         assert captured.out == ""
 
+    # squares fine, but the lens radicand (a product of four lengths)
+    # overflowed, or underflowed into a wrong corridor
+    @pytest.mark.parametrize(
+        "l, r, d", [("1e100", "5e99", "7.5e99"), ("1e-100", "5e-101", "7.5e-101")]
+    )
+    def test_unrepresentable_fourth_powers_exit_2(self, capsys, l, r, d):
+        code = main(["bounds", "--n", "10", "--l", l, "--r", r, "--d", d])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"config error: comm_range={float(r)!r} is out of range" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("epsilon", ["1.5", "nan", "0"])
     def test_invalid_epsilon_exits_2_before_the_table(self, capsys, epsilon):
         code = main(["bounds", "--n", "10", "--l", "10km", "--r", "5km",

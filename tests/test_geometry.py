@@ -75,6 +75,26 @@ class TestLensArea:
         with pytest.raises(ValueError):
             LensParams(math.nan, 1.0, 1.0)
 
+    # these used to raise OverflowError and ZeroDivisionError in the formula
+    @pytest.mark.parametrize(
+        "params, name",
+        [((1e300, 1e300, 1e300), "d"), ((1e-200, 1e-200, 1e-200), "d"),
+         ((1e100, 1e4, 1e4), "d"), ((1.0, 1e300, 1e300), "r_big"),
+         ((1.0, 1.0, 1e100), "r_small")],
+    )
+    def test_out_of_range_lengths_rejected(self, params, name):
+        with pytest.raises(ValueError, match=f"^{name}=.* is out of range"):
+            LensParams(*params)
+
+    # only d is held to the lens length floor: a zero or subnormal radius
+    # ends in one of the formula's early returns
+    @pytest.mark.parametrize("d", [1e-70, 0.1, 1.0, 1e70])
+    @pytest.mark.parametrize("tiny", [0.0, 5e-324, 1e-300])
+    def test_zero_and_tiny_radii_accepted(self, d, tiny):
+        assert lens_area(LensParams(d, d, tiny)) == 0.0
+        assert lens_area(LensParams(d, tiny, d)) == 0.0
+        assert lens_area(LensParams(d, 2.0 * d, tiny)) == math.pi * tiny * tiny
+
     def test_agrees_with_segment_decomposition(self):
         rng = np.random.default_rng(5)
         for _ in range(2000):
@@ -144,6 +164,16 @@ class TestProgressDistribution:
     def test_lengths_with_unrepresentable_squares_rejected(self, field, value):
         name = "area_side" if field == "area" else field
         with pytest.raises(ValueError, match=re.escape(f"{name}={value!r} is out")):
+            self.dist(**{field: value})
+
+    # squares fine, fourth powers not: the lens radicand multiplies four
+    # sums of these lengths; area_side enters only squared
+    @pytest.mark.parametrize("field", ["d", "r"])
+    @pytest.mark.parametrize("value", [1e-100, 1e-78, 1e77, 1e100])
+    def test_lens_lengths_with_unrepresentable_fourth_powers_rejected(
+        self, field, value
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"{field}={value!r} is out")):
             self.dist(**{field: value})
 
     def test_tail_is_one_at_far_edge(self):

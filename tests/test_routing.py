@@ -505,3 +505,33 @@ class TestDynamicSessions:
         assume(out.delivered)
         path = [0] + [h.dst for h in out.hops]
         assert execute_path(trace.cursor(), path, max_hops=4 * n) == out
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 16),
+        speed=st.sampled_from((0.0, 10.0, 100.0, 300.0)),
+    )
+    def test_hop_records_equal_the_landing_snapshot_distances(self, seed, n, speed):
+        # the hop loop reads the flat view once per hop; every record must
+        # still equal distance() on the snapshot where the hop lands
+        fleet = Fleet(MobilityConfig(mean_speed=speed, time_step=30.0), n, seed)
+        trace = record_trace(fleet, R, 4 * n)
+        rng = np.random.default_rng(seed)
+        source, dest = (int(v) for v in rng.choice(n, size=2, replace=False))
+        outs = [
+            route_greedy(trace.cursor(), source, dest, predictive=p, max_hops=4 * n)
+            for p in (True, False)
+        ]
+        path = route_dijkstra(trace.snapshot(0), source, dest)
+        if path is not None:
+            outs.append(execute_path(trace.cursor(), path, max_hops=4 * n))
+        for out in outs:
+            assert out.initial_distance == trace.snapshot(0).distance(source, dest)
+            for k, hop in enumerate(out.hops):
+                snap = trace.snapshot(k + 1)
+                assert hop.time == snap.time
+                assert hop.tx_distance == snap.distance(hop.src, hop.dst)
+                assert hop.progress == (
+                    snap.distance(hop.src, dest) - snap.distance(hop.dst, dest)
+                )

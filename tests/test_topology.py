@@ -1,4 +1,5 @@
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -97,6 +98,98 @@ class TestContactSnapshot:
         snap = snap_from(true_pos, comm_range=4_000.0, predicted=pred_pos)
         assert snap.neighbors(0, use_predicted=False) == {1}
         assert snap.neighbors(0, use_predicted=True) == {2}
+
+
+class TestKeptRows:
+    """Each neighbor row is built once per (node, position set) and kept;
+    every call still returns a fresh set equal to the brute-force scan."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        k=st.integers(20, 1_600),
+        sx=st.sampled_from((-1, 1)),
+        sy=st.sampled_from((-1, 1)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_match_brute_force_on_first_and_repeat_calls(self, n, k, sx, sy, seed):
+        rng = np.random.default_rng(seed)
+        r = 5.0 * k
+        pos = rng.integers(0, 10_000, size=(n, 2)).astype(float)
+        pred = rng.integers(-5 * k, 10_000 + 5 * k, size=(n, 2)).astype(float)
+        # a 3-4-5 offset puts node 1 at exactly R from node 0 on both sets
+        pos[1] = pos[0] + (sx * 3.0 * k, sy * 4.0 * k)
+        pred[1] = pred[0] + (sy * 4.0 * k, sx * 3.0 * k)
+        snap = snap_from(pos, comm_range=r, predicted=pred)
+        for use_predicted, p in ((False, pos), (True, pred)):
+            assert 1 in snap.neighbors(0, use_predicted)
+            for _ in range(2):
+                for i in range(n):
+                    got = snap.neighbors(i, use_predicted)
+                    assert got == brute_force_neighbors(p, i, r)
+                    assert all(type(j) is int for j in got)
+
+    def test_mutating_a_returned_set_does_not_reach_the_row(self):
+        snap = snap_from([(0, 0), (1_000, 0), (2_000, 0)])
+        for use_predicted in (False, True):
+            first = snap.neighbors(0, use_predicted)
+            first.add(99)
+            first.discard(1)
+            assert snap.neighbors(0, use_predicted) == {1, 2}
+        assert dict(snap.links(0)) == {1: 1_000.0, 2: 2_000.0}
+
+    def test_each_row_is_built_once_per_position_set(self, monkeypatch):
+        built = Counter()
+        row = ContactSnapshot._row
+
+        def counting_row(snap, i, use_predicted):
+            built[i, use_predicted] += 1
+            return row(snap, i, use_predicted)
+
+        monkeypatch.setattr(ContactSnapshot, "_row", counting_row)
+        rng = np.random.default_rng(8)
+        pos, pred = rng.uniform(0, 10_000, size=(2, 15, 2))
+        snap = snap_from(pos, predicted=pred)
+        for _ in range(3):
+            for i in range(15):
+                snap.neighbors(i)
+                snap.neighbors(i, use_predicted=True)
+                list(snap.links(i))  # shares the true-position row
+                greedy_next_hop(snap, i, (i + 1) % 15)
+        assert built == {(i, p): 1 for i in range(15) for p in (False, True)}
+
+    def test_pickled_copy_rebuilds_its_rows(self):
+        rng = np.random.default_rng(9)
+        pos, pred = rng.uniform(0, 10_000, size=(2, 12, 2))
+        snap = snap_from(pos, predicted=pred)
+        rows = {(i, p): snap.neighbors(i, p) for i in range(12) for p in (False, True)}
+        copy = pickle.loads(pickle.dumps(snap))
+        assert not copy._true_rows and not copy._predicted_rows
+        assert {(i, p): copy.neighbors(i, p) for i in range(12) for p in (False, True)} == rows
+
+    @pytest.mark.parametrize("bad", [1.0, True, np.float64(1.0), "1", None])
+    def test_non_integer_index_rejected(self, bad):
+        snap = snap_from([(0, 0), (1_000, 0), (2_000, 0)])
+        snap.neighbors(1)
+        snap.neighbors(1, use_predicted=True)
+        list(snap.links(1))  # node 1's rows are kept: a float key would hit them
+        for call in (
+            lambda: snap.neighbors(bad),
+            lambda: snap.neighbors(bad, use_predicted=True),
+            lambda: snap.links(bad),
+            lambda: snap.distance(bad, 2),
+            lambda: snap.distance(2, bad),
+            lambda: greedy_next_hop(snap, 0, bad),
+        ):
+            with pytest.raises(TypeError, match="node index must be an integer"):
+                call()
+
+    def test_numpy_integer_index_reads_the_same_row(self):
+        snap = snap_from([(0, 0), (1_000, 0), (2_000, 0)], comm_range=1_500.0)
+        for i in (np.int64(1), np.int32(1), np.intp(1)):
+            assert snap.neighbors(i) == snap.neighbors(1) == {0, 2}
+            assert dict(snap.links(i)) == dict(snap.links(1))
+            assert snap.distance(i, np.int64(2)) == snap.distance(1, 2)
 
 
 class TestPositionStorage:
