@@ -345,8 +345,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = build_arg_parser().parse_args(argv)
     try:
         if args.command in FIGURES:
             return _cmd_figure(args.command, args)
@@ -354,10 +353,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_bounds(args)
         if args.command == "route":
             return _cmd_route(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
-        parser.error(f"unknown command {args.command!r}")
-        return 2
+        return _cmd_trace(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

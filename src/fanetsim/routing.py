@@ -24,10 +24,14 @@ Whatever positions the decision used, link validity and all metrics
 time, i.e. on the snapshot where the transmission completes: a decided
 hop whose true length exceeds the transmission radius there breaks the
 session.  Every session runs these rules in one hop loop, ``_forward``,
-which reads the landing snapshot's flat true-position view once per hop
-and takes each length with the ``math.hypot`` expression of
-``ContactSnapshot.distance``, bit for bit; ``route_greedy`` and
-``execute_path`` differ only in how they choose each relay.
+the only reader of the network's snapshots: it reads one per step, hands
+it to the session's chooser as ``choose(k, snap, current)``, reads the
+landing snapshot's flat true-position view once per hop, and takes each
+length with the ``math.hypot`` expression of ``ContactSnapshot.distance``,
+bit for bit.  ``route_greedy`` and ``execute_path`` differ only in how
+they choose each relay.  Greedy relays come from a snapshot's own
+neighbor rows, so the loop does not check them; ``execute_path`` checks
+every node of its path once, before the first hop.
 """
 
 from __future__ import annotations
@@ -141,23 +145,26 @@ def greedy_next_hop(
 
 
 def _forward(sim, source: int, dest: int, max_hops: int, choose) -> SessionOutcome:
-    """The hop loop of every session.  ``choose(k, current)`` names the
-    relay of hop k, or None when there is none; the hop then occupies one
-    time step of ``sim`` and is judged on the true positions where it
-    completes.  Ends on arrival, a broken link, no relay, or ``max_hops``."""
-    d0 = sim.snapshot().distance(source, dest)  # checks both indices
+    """The hop loop of every session, which reads one snapshot per step.
+    ``choose(k, snap, current)`` names the relay of hop k from that step's
+    ``snap``, or None when there is none; the hop then occupies one time
+    step of ``sim`` and is judged on the true positions where it completes.
+    Ends on arrival, a broken link, no relay, or ``max_hops``."""
+    if max_hops < 0:
+        raise ValueError(f"max_hops must be >= 0, got {max_hops!r}")
+    snap = sim.snapshot()
+    d0 = snap.distance(source, dest)  # checks both indices
     hypot = math.hypot
     hops: list[HopRecord] = []
     current = source
     status = SessionStatus.HOP_CAP  # unless the loop breaks out early
     for k in range(max_hops):
-        nxt = choose(k, current)
+        nxt = choose(k, snap, current)
         if nxt is None:
             status = SessionStatus.STUCK_NO_PROGRESS
             break
         sim.advance()  # the transmission occupies this time step
         snap = sim.snapshot()
-        snap._check_index(nxt)
         # distance(current, nxt), distance(current, dest) - distance(nxt, dest)
         m = snap._true_xy
         cx, cy = m[2 * current], m[2 * current + 1]
@@ -198,9 +205,10 @@ def route_greedy(
     if predictive and not refresh_destination:
         frozen_dest = snap0.predicted_positions[dest].copy()
 
-    def choose(k: int, current: int) -> int | None:
-        snap = sim.snapshot() if predictive else snap0
-        return greedy_next_hop(snap, current, dest, dest_pos=frozen_dest)
+    def choose(k: int, snap: ContactSnapshot, current: int) -> int | None:
+        return greedy_next_hop(
+            snap if predictive else snap0, current, dest, dest_pos=frozen_dest
+        )
 
     return _forward(sim, source, dest, max_hops, choose)
 
@@ -277,4 +285,7 @@ def execute_path(sim, path: list[int], max_hops: int) -> SessionOutcome:
         raise ValueError("path must contain at least two nodes")
     if path[0] == path[-1]:
         raise ValueError("source and destination must differ")
-    return _forward(sim, path[0], path[-1], max_hops, lambda k, current: path[k + 1])
+    check = sim.snapshot()._check_index
+    for node in path:
+        check(node)
+    return _forward(sim, path[0], path[-1], max_hops, lambda k, *_: path[k + 1])

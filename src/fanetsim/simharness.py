@@ -133,6 +133,10 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("runs", "sessions_per_run", "seed", "max_hops", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs!r}")
         if self.sessions_per_run < 1:
@@ -339,18 +343,14 @@ def _route_session(
 ) -> SessionOutcome:
     """Route one session; its hop budget is the trace's length."""
     cursor = trace.cursor()
-    if alg is Algorithm.GREEDY_PREDICTIVE:
+    if alg is not Algorithm.DIJKSTRA_STATIC:
         return route_greedy(
             cursor,
             source,
             dest,
-            predictive=True,
+            predictive=alg is Algorithm.GREEDY_PREDICTIVE,
             max_hops=trace.n_steps,
             refresh_destination=cfg.refresh_destination,
-        )
-    if alg is Algorithm.GREEDY_STATIC:
-        return route_greedy(
-            cursor, source, dest, predictive=False, max_hops=trace.n_steps
         )
     snap0 = cursor.snapshot()
     path = route_dijkstra(snap0, source, dest, cfg.dijkstra_weight)

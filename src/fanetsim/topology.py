@@ -5,14 +5,20 @@ accounting and link validity) and the predicted positions (used for
 forwarding decisions).  Neighborhoods follow the unit-disk rule: an edge
 exists iff the Euclidean distance is at most the transmission radius,
 boundary inclusive.  A node's neighbor row on one position set is built
-once, by one numpy scan over the x and y columns, and kept on the
-snapshot as ascending indices; ``neighbors`` returns a new set of it on
-every call.  ``links`` pairs the kept true-position row with its link
-lengths, kept too, so all shortest-path searches on a snapshot share its
-edges.  Positions are stored as C-ordered float64 ``(n, 2)`` arrays, and
-each has a flat ``memoryview`` (``[x0, y0, x1, y1, ...]``) through which
-per-pair arithmetic reads plain Python floats: the same doubles, without
-numpy scalar overhead.
+once, by one numpy scan over the x and y columns of its ``(n, 2)``
+array, and kept on the snapshot as ascending indices; ``neighbors``
+returns a new set of it on every call.  ``links`` pairs the kept
+true-position row with its link lengths, kept too, so all shortest-path
+searches on a snapshot share its edges.  Positions are stored as
+C-ordered float64 ``(n, 2)`` arrays, and each has a flat ``memoryview``
+(``[x0, y0, x1, y1, ...]``) through which per-pair arithmetic reads plain
+Python floats: the same doubles, without numpy scalar overhead.  Node
+indices must be integers in range.  Snapshots compare and hash by
+identity, so they can key dicts and fill sets.
+
+A trace holds one snapshot per step, all with the same node count and
+range.  A ``TraceCursor`` looks its step's snapshot up once, when it is
+built and at each ``advance``, and ``snapshot()`` returns the kept one.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 __all__ = ["ContactSnapshot", "NetworkTrace", "TraceCursor"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContactSnapshot:
     """Immutable view of all node positions at one instant."""
 
@@ -36,28 +42,24 @@ class ContactSnapshot:
     predicted_positions: np.ndarray
     comm_range: float
     # node -> ascending neighbor indices, one dict per position set
-    _true_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _predicted_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _true_rows: dict = field(default_factory=dict, init=False, repr=False)
+    _predicted_rows: dict = field(default_factory=dict, init=False, repr=False)
     # node -> true-position link lengths, in the order of its true row
-    _lengths: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _lengths: dict = field(default_factory=dict, init=False, repr=False)
     # flat views over true_positions and predicted_positions
-    _true_xy: memoryview = field(init=False, repr=False, compare=False)
-    _predicted_xy: memoryview = field(init=False, repr=False, compare=False)
-    # (x, y) column views of true_positions and predicted_positions
-    _true_cols: tuple = field(init=False, repr=False, compare=False)
-    _predicted_cols: tuple = field(init=False, repr=False, compare=False)
+    _true_xy: memoryview = field(init=False, repr=False)
+    _predicted_xy: memoryview = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name, view, cols in (
-            ("true_positions", "_true_xy", "_true_cols"),
-            ("predicted_positions", "_predicted_xy", "_predicted_cols"),
+        for name, view in (
+            ("true_positions", "_true_xy"),
+            ("predicted_positions", "_predicted_xy"),
         ):
             pos = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             if pos.ndim != 2 or pos.shape[1] != 2:
                 raise ValueError(f"{name} must have shape (n, 2), got {pos.shape}")
             object.__setattr__(self, name, pos)
             object.__setattr__(self, view, memoryview(pos.reshape(-1)))
-            object.__setattr__(self, cols, (pos[:, 0], pos[:, 1]))
         if len(self.true_positions) != len(self.predicted_positions):
             raise ValueError(
                 "true and predicted position lists differ in length: "
@@ -67,7 +69,7 @@ class ContactSnapshot:
             raise ValueError(f"comm_range must be finite and > 0, got {self.comm_range!r}")
 
     def __reduce__(self):
-        # memoryviews do not pickle; the views, columns and rows are rebuilt
+        # memoryviews do not pickle; the views and rows are rebuilt
         return type(self), (
             self.time, self.true_positions, self.predicted_positions, self.comm_range
         )
@@ -106,11 +108,11 @@ class ContactSnapshot:
     def _row(self, i: int, use_predicted: bool) -> array:
         """Node i's neighbor indices, ascending, on one position set."""
         if use_predicted:
-            (x, y), m = self._predicted_cols, self._predicted_xy
+            pos, m = self.predicted_positions, self._predicted_xy
         else:
-            (x, y), m = self._true_cols, self._true_xy
-        dx = x - m[2 * i]
-        dy = y - m[2 * i + 1]
+            pos, m = self.true_positions, self._true_xy
+        dx = pos[:, 0] - m[2 * i]
+        dy = pos[:, 1] - m[2 * i + 1]
         dx *= dx
         dy *= dy
         dx += dy
@@ -162,6 +164,13 @@ class NetworkTrace:
         if not snapshots:
             raise ValueError("trace must contain at least one snapshot")
         self.snapshots = list(snapshots)
+        first = self.snapshots[0]
+        for k, snap in enumerate(self.snapshots):
+            if snap.n_nodes != first.n_nodes or snap.comm_range != first.comm_range:
+                raise ValueError(
+                    f"snapshot {k} has {snap.n_nodes} nodes and comm_range "
+                    f"{snap.comm_range!r}, unlike snapshot 0"
+                )
         self.n_steps = len(self.snapshots) - 1 if fleet is None else n_steps
         self._fleet = fleet
 
@@ -169,12 +178,9 @@ class NetworkTrace:
         if not 0 <= k <= self.n_steps:
             raise IndexError(f"step {k} outside the trace's steps 0..{self.n_steps}")
         snaps = self.snapshots
-        if k < len(snaps):
-            return snaps[k]
-        fleet = self._fleet
         while len(snaps) <= k:
-            fleet.advance()
-            snaps.append(ContactSnapshot.of_fleet(fleet, snaps[0].comm_range))
+            self._fleet.advance()
+            snaps.append(ContactSnapshot.of_fleet(self._fleet, snaps[0].comm_range))
         return snaps[k]
 
     def cursor(self) -> "TraceCursor":
@@ -192,9 +198,10 @@ class TraceCursor:
     def __init__(self, trace: NetworkTrace):
         self._trace = trace
         self._k = 0
+        self._snap = trace.snapshot(0)
 
     def snapshot(self) -> ContactSnapshot:
-        return self._trace.snapshot(self._k)
+        return self._snap
 
     def advance(self) -> None:
         if self._k >= self._trace.n_steps:
@@ -202,3 +209,4 @@ class TraceCursor:
                 f"trace exhausted after {self._trace.n_steps} steps"
             )
         self._k += 1
+        self._snap = self._trace.snapshot(self._k)

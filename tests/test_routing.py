@@ -155,6 +155,14 @@ class TestRouteGreedy:
         assert out.status is SessionStatus.STUCK_NO_PROGRESS
         assert out.hop_count == 0
 
+    @pytest.mark.parametrize("predictive", [True, False])
+    def test_negative_hop_budget_rejected(self, predictive):
+        trace = static_trace([(0, 0), (3_000, 0)])
+        with pytest.raises(ValueError, match="max_hops"):
+            route_greedy(trace.cursor(), 0, 1, predictive, max_hops=-3)
+        out = route_greedy(trace.cursor(), 0, 1, predictive, max_hops=0)
+        assert out.status is SessionStatus.HOP_CAP and out.hop_count == 0
+
     def test_source_equals_destination_rejected(self):
         trace = static_trace([(0, 0), (1, 1)])
         with pytest.raises(ValueError):
@@ -445,6 +453,28 @@ class TestExecutePath:
         with pytest.raises(ValueError, match="source and destination must differ"):
             execute_path(trace.cursor(), path, 20)
 
+    @pytest.mark.parametrize(
+        "path, max_hops, error",
+        [
+            ([0, 7, 2], 0, IndexError),  # checked even when no hop is sent
+            ([0, -1, 2], 8, IndexError),
+            ([0, 1.0, 2], 8, TypeError),
+        ],
+    )
+    def test_every_node_checked_before_the_first_hop(self, path, max_hops, error):
+        trace = static_trace([(0, 0), (4_000, 0), (8_000, 0)])
+        cursor = trace.cursor()
+        with pytest.raises(error):
+            execute_path(cursor, path, max_hops)
+        assert cursor.snapshot() is trace.snapshots[0]  # no step was taken
+
+    def test_negative_hop_budget_rejected(self):
+        trace = static_trace([(0, 0), (3_000, 0)])
+        with pytest.raises(ValueError, match="max_hops"):
+            execute_path(trace.cursor(), [0, 1], max_hops=-1)
+        out = execute_path(trace.cursor(), [0, 1], max_hops=0)
+        assert out.status is SessionStatus.HOP_CAP and out.hop_count == 0
+
     def test_fast_network_breaks_links(self):
         # nodes cross the whole area per step and the range is a small
         # fraction of it, so precomputed multi-hop paths almost always break
@@ -535,3 +565,25 @@ class TestDynamicSessions:
                 assert hop.progress == (
                     snap.distance(hop.src, dest) - snap.distance(hop.dst, dest)
                 )
+
+
+class TestSnapshotLookups:
+    def test_one_trace_lookup_per_step(self, monkeypatch):
+        # the cursor keeps its step's snapshot and the hop loop hands it to
+        # the chooser: one lookup at session start, one per hop
+        lookups = Counter()
+        lookup = NetworkTrace.snapshot
+
+        def counted(trace, k):
+            lookups["n"] += 1
+            return lookup(trace, k)
+
+        monkeypatch.setattr(NetworkTrace, "snapshot", counted)
+        trace = static_trace([(0, 0), (4_500, 0), (9_000, 0), (13_000, 0)])
+        out = route_greedy(trace.cursor(), 0, 3, predictive=True, max_hops=16)
+        assert out.delivered and out.hop_count == 3
+        assert lookups["n"] == out.hop_count + 1
+        lookups.clear()
+        out = execute_path(trace.cursor(), [0, 1, 2, 3], max_hops=16)
+        assert out.delivered and out.hop_count == 3
+        assert lookups["n"] == out.hop_count + 1

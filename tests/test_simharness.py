@@ -93,6 +93,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(runs=0)
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize(
+        "name", ["runs", "sessions_per_run", "seed", "max_hops", "workers"]
+    )
+    def test_integer_fields_reject_bools_and_fractions(self, name, value):
+        # 2.5 used to fail later inside run_experiment; True ran as 1
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            small_config(**{name: value})
+
+    def test_numpy_integer_fields_accepted(self):
+        assert small_config(runs=np.int64(2), seed=np.int32(3)).runs == 2
+
     def test_area_sides_must_agree(self):
         with pytest.raises(ValueError, match="area_side"):
             small_config(mobility=replace(STATIC_MOBILITY, area_side=20_000.0))

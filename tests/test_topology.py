@@ -99,6 +99,17 @@ class TestContactSnapshot:
         assert snap.neighbors(0, use_predicted=False) == {1}
         assert snap.neighbors(0, use_predicted=True) == {2}
 
+    def test_equality_and_hashing_by_identity(self):
+        # a generated __eq__ compared the position arrays, so == raised
+        # (ambiguous truth) and hash() failed
+        p = np.array([(0.0, 0.0), (3.0, 4.0)])
+        a = ContactSnapshot(0.0, p, p.copy(), 5.0)
+        b = ContactSnapshot(0.0, p.copy(), p.copy(), 5.0)
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert len({a, b, a}) == 2
+        assert {a: 1, b: 2}[a] == 1
+
 
 class TestKeptRows:
     """Each neighbor row is built once per (node, position set) and kept;
@@ -306,6 +317,20 @@ class TestTrace:
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
             NetworkTrace(())
+
+    @pytest.mark.parametrize(
+        "second",
+        [
+            ContactSnapshot(1.0, np.zeros((3, 2)), np.zeros((3, 2)), 100.0),
+            ContactSnapshot(1.0, np.zeros((2, 2)), np.zeros((2, 2)), 50.0),
+        ],
+    )
+    def test_mixed_snapshots_rejected(self, second):
+        first = ContactSnapshot(0.0, np.zeros((2, 2)), np.zeros((2, 2)), 100.0)
+        with pytest.raises(ValueError, match="snapshot 1 has"):
+            NetworkTrace((first, second))
+        with pytest.raises(ValueError, match="snapshot 2 has"):
+            NetworkTrace((first, first, second, first))
 
     def test_cursor_walks_snapshots(self):
         trace = self.make_trace(3)
