@@ -16,8 +16,11 @@ per step) and draws from a node's stream only when that node renews or
 is predicted with noise.  It seeds all of its streams in one array pass
 over SeedSequence's hashing; each stream is bit for bit
 ``default_rng(SeedSequence(seed, spawn_key=(node_id, stream)))``.  The
+deployment and every renewal share one draw loop, ``_renewals``, which
+makes each node's scalar ``Generator`` calls in its stream's order.  The
 per-node reference that the fleet matches bit for bit is a test oracle,
-in ``tests/oracles.py``.
+in ``tests/oracles.py``; it writes each stream's draw order out on its
+own.
 """
 
 from __future__ import annotations
@@ -185,41 +188,42 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
-def _renewal_draw(
-    linear: bool, cfg: MobilityConfig, rng: np.random.Generator
-) -> tuple[float, float, float, float, float, float]:
-    """``(speed, sojourn, heading, turn_radius, phase, angular_speed)`` drawn
-    for one renewal into the given mode; fields the mode does not use are 0.
+def _renewals(
+    cfg: MobilityConfig,
+    rngs: list[np.random.Generator],
+    linear: list[bool],
+    switch_prob: float,
+) -> Iterator[tuple]:
+    """Columns ``(linear, speed, sojourn, heading, turn_radius, phase,
+    angular_speed)`` of one renewal per generator in ``rngs``, the loop of
+    both the deployment and ``Fleet._renew``.  Each node leaves its mode in
+    ``linear`` with ``switch_prob``, then redraws every parameter; fields
+    its new mode does not use are 0.  All draws are scalar ``Generator``
+    calls, cheaper than one call per node with ``size``.
 
     ``m * standard_exponential()`` and ``2pi * random()`` are bit for bit
     ``exponential(m)`` and ``uniform(0, 2pi)``, at about half the cost.
     """
-    speed = 0.0
-    if cfg.mean_speed > 0:
-        speed = cfg.mean_speed * rng.standard_exponential()
-    sojourn = cfg.mean_wait * rng.standard_exponential()
-    if sojourn <= 0.0:  # exponential draw can underflow to exactly 0
-        sojourn = 1e-9
-    if linear:
-        return speed, sojourn, _TWO_PI * rng.random(), 0.0, 0.0, 0.0
-    turn_radius = max(cfg.mean_turn_radius * rng.standard_exponential(), 1e-6)
-    phase = _TWO_PI * rng.random()
-    direction = 1.0 if rng.random() < 0.5 else -1.0
-    return speed, sojourn, 0.0, turn_radius, phase, direction * speed / turn_radius
-
-
-def _deploy(cfg: MobilityConfig, rngs: list[np.random.Generator]) -> list[tuple]:
-    """Per node, ``(x, y, linear, *renewal draw)`` from its init stream
-    ``rngs[node]``."""
-    if len(rngs) < 2:
-        raise ValueError(f"need at least 2 nodes, got {len(rngs)!r}")
+    mean_speed, mean_wait = cfg.mean_speed, cfg.mean_wait
+    mean_turn_radius = cfg.mean_turn_radius
     rows = []
-    for rng in rngs:
-        x = cfg.area_side * rng.random()
-        y = cfg.area_side * rng.random()
-        linear = rng.random() < 0.5
-        rows.append((x, y, linear, *_renewal_draw(linear, cfg, rng)))
-    return rows
+    for rng, lin in zip(rngs, linear):
+        random, exp = rng.random, rng.standard_exponential
+        if random() < switch_prob:
+            lin = not lin
+        speed = mean_speed * exp() if mean_speed > 0 else 0.0
+        sojourn = mean_wait * exp()
+        if sojourn <= 0.0:  # exponential draw can underflow to exactly 0
+            sojourn = 1e-9
+        if lin:
+            rows.append((True, speed, sojourn, _TWO_PI * random(), 0.0, 0.0, 0.0))
+            continue
+        turn_radius = max(mean_turn_radius * exp(), 1e-6)
+        phase = _TWO_PI * random()
+        direction = 1.0 if random() < 0.5 else -1.0
+        omega = direction * speed / turn_radius
+        rows.append((False, speed, sojourn, 0.0, turn_radius, phase, omega))
+    return zip(*rows)
 
 
 def _unit(angle: np.ndarray) -> np.ndarray:
@@ -260,20 +264,25 @@ class Fleet:
     """
 
     def __init__(self, cfg: MobilityConfig, n: int, seed):
+        if n < 2:
+            raise ValueError(f"need at least 2 nodes, got {n!r}")
         self.cfg = cfg
         self._words = _stream_words(seed, n)
+        # Each init stream draws x, y, then the initial mode as a switch
+        # out of circular with probability 1/2, then the mode's parameters.
         init = [self._rng(i, _STREAM_INIT) for i in range(n)]
-        x, y, linear, *draw = (np.array(c) for c in zip(*_deploy(cfg, init)))
-        self._xy = np.array((x, y))  # row 0 is x, row 1 is y
-        self._linear = linear
+        side = cfg.area_side
+        xy = [(side * g.random(), side * g.random()) for g in init]
+        self._xy = np.array(xy).T.copy()  # row 0 is x, row 1 is y
         (
+            self._linear,
             self._speed,
             self._sojourn,
             self._heading,
             self._turn_radius,
             self._phase,
             self._angular_speed,
-        ) = draw
+        ) = map(np.array, _renewals(cfg, init, [False] * n, 0.5))
         self._time_in_state = np.zeros(n)
         self._motion_rngs: list[np.random.Generator | None] = [None] * n
         self._noise_rngs = [self._rng(i, _STREAM_NOISE) for i in range(n)]
@@ -334,16 +343,11 @@ class Fleet:
     def _renew(self, due: np.ndarray) -> None:
         """The Markov renewal of each due node, from its own motion stream:
         switch mode with ``transition_prob``, then redraw the parameters."""
-        cfg = self.cfg
         rngs = self._motion_rngs
-        rows = []
-        for i, linear in zip(due.tolist(), self._linear[due].tolist()):
-            rng = rngs[i]
-            if rng is None:
-                rng = rngs[i] = self._rng(i, _STREAM_MOTION)
-            if rng.random() < cfg.transition_prob:
-                linear = not linear
-            rows.append((linear, *_renewal_draw(linear, cfg, rng)))
+        idx = due.tolist()
+        for i in idx:  # a node's motion stream is made at its first renewal
+            if rngs[i] is None:
+                rngs[i] = self._rng(i, _STREAM_MOTION)
         (
             self._linear[due],
             self._speed[due],
@@ -352,7 +356,10 @@ class Fleet:
             self._turn_radius[due],
             self._phase[due],
             self._angular_speed[due],
-        ) = zip(*rows)
+        ) = _renewals(
+            self.cfg, [rngs[i] for i in idx], self._linear[due].tolist(),
+            self.cfg.transition_prob,
+        )
         self._time_in_state[due] = 0.0
 
     def true_positions(self) -> np.ndarray:

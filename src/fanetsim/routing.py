@@ -7,18 +7,21 @@ forwarding re-decides at every hop: the predictive variant reads each
 step's predicted positions (which, at the default one-step prediction
 horizon, estimate exactly where nodes will be when the packet lands),
 while the static variant keeps deciding on the snapshot frozen at session
-start.  A hop choice takes its candidates from
-``ContactSnapshot.neighbors`` and scores them with ``math.hypot`` on
+start.  A hop choice takes its candidates from one
+``ContactSnapshot.neighbors`` call and scores them with ``math.hypot`` on
 plain floats read through the snapshot's flat predicted-position view,
-the same doubles a numpy read gives.  The Dijkstra baseline plans its
-whole path once on the session-start true positions and never replans.
-It searches with A* toward the destination for ``distance`` weights
-(straight-line heuristic on the true positions) and with plain Dijkstra
-for ``distance_squared``; both return a minimum-weight path, and only
-the choice among paths of exactly equal weight may differ from an
-uninformed Dijkstra's.  It reads the snapshot's memoised link lists
-(``ContactSnapshot.links``), which every search on that snapshot shares,
-and keeps its per-node state in lists and a bytearray indexed by node.
+the same doubles a numpy read gives; it scans the set unsorted and breaks
+equal distances toward the lowest index itself.  The Dijkstra baseline
+plans its whole path once on the session-start true positions and never
+replans.  It searches with A* toward the destination for ``distance``
+weights (straight-line heuristic on the true positions) and with plain
+Dijkstra for ``distance_squared``; both return a minimum-weight path,
+and only the choice among paths of exactly equal weight may differ from
+an uninformed Dijkstra's.  It reads the snapshot's true-position link
+table directly: ascending neighbor rows with their ``math.hypot``
+lengths, built whole by the first search (or ``links``/``neighbors``
+call) on that snapshot and shared by every later one.  It keeps its
+per-node state in lists and a bytearray indexed by node.
 Whatever positions the decision used, link validity and all metrics
 (link length, progress) are evaluated on the true positions at transmit
 time, i.e. on the snapshot where the transmission completes: a decided
@@ -123,7 +126,8 @@ def greedy_next_hop(
     progress.  ``dest_pos`` overrides the destination coordinate, for
     callers that carry a stale destination location in the packet.
     """
-    snap._check_index(dest)
+    if not (type(dest) is int and 0 <= dest < snap.n_nodes):
+        snap._check_index(dest)
     nbrs = snap.neighbors(current, use_predicted=True)
     if not nbrs:
         return None
@@ -137,9 +141,9 @@ def greedy_next_hop(
     hypot = math.hypot
     best = None
     best_d = hypot(m[2 * current] - tx, m[2 * current + 1] - ty)
-    for j in sorted(nbrs):
+    for j in nbrs:  # set order: equal distances go to the lowest index
         dj = hypot(m[2 * j] - tx, m[2 * j + 1] - ty)
-        if dj < best_d:
+        if dj <= best_d and (dj < best_d or best is not None and j < best):
             best, best_d = j, dj
     return best
 
@@ -241,6 +245,7 @@ def route_dijkstra(
     else:
         pos = snap.true_positions
         h = np.hypot(pos[:, 0] - pos[dest, 0], pos[:, 1] - pos[dest, 1]).tolist()
+    rows, lengths = snap._link_table()
     inf = math.inf
     dist = [inf] * n
     dist[source] = 0.0
@@ -256,7 +261,7 @@ def route_dijkstra(
             break
         done[u] = 1
         d_u = dist[u]
-        for v, w in snap.links(u):
+        for v, w in zip(rows[u], lengths[u]):
             if done[v]:
                 continue
             if squared:

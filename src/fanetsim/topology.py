@@ -4,17 +4,22 @@ A snapshot carries both the true node positions (used for metric
 accounting and link validity) and the predicted positions (used for
 forwarding decisions).  Neighborhoods follow the unit-disk rule: an edge
 exists iff the Euclidean distance is at most the transmission radius,
-boundary inclusive.  A node's neighbor row on one position set is built
-once, by one numpy scan over the x and y columns of its ``(n, 2)``
-array, and kept on the snapshot as ascending indices; ``neighbors``
-returns a new set of it on every call.  ``links`` pairs the kept
-true-position row with its link lengths, kept too, so all shortest-path
-searches on a snapshot share its edges.  Positions are stored as
-C-ordered float64 ``(n, 2)`` arrays, and each has a flat ``memoryview``
-(``[x0, y0, x1, y1, ...]``) through which per-pair arithmetic reads plain
-Python floats: the same doubles, without numpy scalar overhead.  Node
-indices must be integers in range.  Snapshots compare and hash by
-identity, so they can key dicts and fill sets.
+boundary inclusive.  On the true positions a snapshot keeps one link
+table, built whole the first time any true row is read (``links``,
+``neighbors(i)`` or the shortest-path search): numpy scans the squared
+distances of 16 nodes at a time against all others, and the table keeps
+each node's ascending neighbor indices as an ``array('l')`` with their
+lengths as an ``array('d')``.  Each length is ``math.hypot`` of the
+coordinate differences, as ``distance`` takes it, bit for bit;
+``np.hypot`` rounds differently in about 0.6% of pairs.  Predicted rows
+are built one node at a time, on first use, by one scan over the x and y
+columns, and kept.  ``neighbors`` returns a new set of a kept row on
+every call.  Positions are stored as C-ordered float64 ``(n, 2)``
+arrays, and each has a flat ``memoryview`` (``[x0, y0, x1, y1, ...]``)
+through which per-pair arithmetic reads plain Python floats: the same
+doubles, without numpy scalar overhead.  Node indices must be integers
+in range.  Snapshots compare and hash by identity, so they can key dicts
+and fill sets.
 
 A trace holds one snapshot per step, all with the same node count and
 range.  A ``TraceCursor`` looks its step's snapshot up once, when it is
@@ -32,6 +37,8 @@ import numpy as np
 
 __all__ = ["ContactSnapshot", "NetworkTrace", "TraceCursor"]
 
+_BLOCK = 16  # link-table rows per numpy scan
+
 
 @dataclass(frozen=True, eq=False)
 class ContactSnapshot:
@@ -41,11 +48,10 @@ class ContactSnapshot:
     true_positions: np.ndarray
     predicted_positions: np.ndarray
     comm_range: float
-    # node -> ascending neighbor indices, one dict per position set
-    _true_rows: dict = field(default_factory=dict, init=False, repr=False)
+    # per node, ascending true-position neighbors and their lengths
+    _table: tuple | None = field(default=None, init=False, repr=False)
+    # node -> ascending predicted-position neighbors
     _predicted_rows: dict = field(default_factory=dict, init=False, repr=False)
-    # node -> true-position link lengths, in the order of its true row
-    _lengths: dict = field(default_factory=dict, init=False, repr=False)
     # flat views over true_positions and predicted_positions
     _true_xy: memoryview = field(init=False, repr=False)
     _predicted_xy: memoryview = field(init=False, repr=False)
@@ -69,7 +75,7 @@ class ContactSnapshot:
             raise ValueError(f"comm_range must be finite and > 0, got {self.comm_range!r}")
 
     def __reduce__(self):
-        # memoryviews do not pickle; the views and rows are rebuilt
+        # memoryviews do not pickle; the views, rows and table are rebuilt
         return type(self), (
             self.time, self.true_positions, self.predicted_positions, self.comm_range
         )
@@ -90,7 +96,7 @@ class ContactSnapshot:
 
     def _check_index(self, i: int) -> None:
         """Reject a node index that is not an integer (a bool or 1.0 would
-        read node 1's kept row) or lies outside [0, n_nodes)."""
+        read node 1's kept rows) or lies outside [0, n_nodes)."""
         if type(i) is not int and (isinstance(i, bool) or not isinstance(i, numbers.Integral)):
             raise TypeError(f"node index must be an integer, got {i!r}")
         if not (0 <= i < self.n_nodes):
@@ -105,12 +111,9 @@ class ContactSnapshot:
         m = self._true_xy
         return math.hypot(m[2 * i] - m[2 * j], m[2 * i + 1] - m[2 * j + 1])
 
-    def _row(self, i: int, use_predicted: bool) -> array:
-        """Node i's neighbor indices, ascending, on one position set."""
-        if use_predicted:
-            pos, m = self.predicted_positions, self._predicted_xy
-        else:
-            pos, m = self.true_positions, self._true_xy
+    def _row(self, i: int) -> array:
+        """Node i's neighbor indices, ascending, on the predicted positions."""
+        pos, m = self.predicted_positions, self._predicted_xy
         dx = pos[:, 0] - m[2 * i]
         dy = pos[:, 1] - m[2 * i + 1]
         dx *= dx
@@ -120,34 +123,67 @@ class ContactSnapshot:
         within[i] = False
         return array("l", within.nonzero()[0].tolist())
 
-    def _kept_row(self, i: int, use_predicted: bool) -> array:
-        """Node i's row, built by ``_row`` on first use and then kept."""
-        if type(i) is not int:
-            self._check_index(i)
-        rows = self._predicted_rows if use_predicted else self._true_rows
-        row = rows.get(i)
-        if row is None:  # only checked indices are ever kept
-            self._check_index(i)
-            row = rows[i] = self._row(i, use_predicted)
-        return row
+    def _build_table(self) -> tuple[list[array], list[array]]:
+        """Every node's true-position row and link lengths, ``_BLOCK`` rows
+        per scan.  A row holds the j != i with ``dx*dx + dy*dy <= R*R``
+        for ``dx = x_j - x_i``, the IEEE operations ``_row`` does."""
+        pos = self.true_positions
+        n = len(pos)
+        x, y = pos[:, 0], pos[:, 1]
+        r2 = self.comm_range * self.comm_range
+        block = np.arange(_BLOCK)
+        row_ends = (block + 1) * n  # flat index past each row of a block
+        rows: list[array] = []
+        lengths: list[array] = []
+        for start in range(0, n, _BLOCK):
+            dx = x - x[start : start + _BLOCK, None]
+            dy = y - y[start : start + _BLOCK, None]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            within = dx <= r2
+            b = len(within)
+            within[block[:b], block[:b] + start] = False
+            flat = np.flatnonzero(within)
+            i, j = flat // n + start, flat % n
+            cols = array("l", j.tolist())
+            # hypot of x_j - x_i and y_j - y_i, as distance() takes it
+            dxs = (x.take(j) - x.take(i)).tolist()
+            dys = (y.take(j) - y.take(i)).tolist()
+            dist = array("d", map(math.hypot, dxs, dys))
+            a = 0
+            for e in flat.searchsorted(row_ends[:b]).tolist():
+                rows.append(cols[a:e])
+                lengths.append(dist[a:e])
+                a = e
+        return rows, lengths
+
+    def _link_table(self) -> tuple[list[array], list[array]]:
+        """The true-position link table, built on first use."""
+        table = self._table
+        if table is None:
+            table = self._build_table()
+            object.__setattr__(self, "_table", table)
+        return table
 
     def neighbors(self, i: int, use_predicted: bool = False) -> set[int]:
         """All nodes within comm_range of node i (excluding i itself)."""
-        return set(self._kept_row(i, use_predicted))
+        if not (type(i) is int and 0 <= i < self.n_nodes):
+            self._check_index(i)
+        if not use_predicted:
+            return set(self._link_table()[0][i])
+        row = self._predicted_rows.get(i)
+        if row is None:
+            row = self._predicted_rows[i] = self._row(i)
+        return set(row)
 
     def links(self, i: int):
         """``(j, distance(i, j))`` over node i's true-position neighbors, bit
-        for bit (``hypot`` reads only magnitudes): the kept true row, with
-        its lengths built once per node."""
-        row = self._kept_row(i, False)
-        lengths = self._lengths.get(i)
-        if lengths is None:
-            m, hypot = self._true_xy, math.hypot
-            xi, yi = m[2 * i], m[2 * i + 1]
-            lengths = self._lengths[i] = array(
-                "d", [hypot(m[2 * j] - xi, m[2 * j + 1] - yi) for j in row]
-            )
-        return zip(row, lengths)
+        for bit (``hypot`` reads only magnitudes), from the link table."""
+        if not (type(i) is int and 0 <= i < self.n_nodes):
+            self._check_index(i)
+        rows, lengths = self._link_table()
+        return zip(rows[i], lengths[i])
 
 
 class NetworkTrace:

@@ -3,11 +3,12 @@
 Everything here deliberately avoids the library's own code paths: areas
 come from rejection sampling or a different algebraic decomposition,
 shortest paths from Bellman-Ford, neighbor sets from O(n^2) scans, and
-mobility from stepping one node at a time on ``SeedSequence`` generators.
-The one exception: that mobility reference deploys and renews nodes
-through ``fanetsim.mobility._deploy`` and ``_renewal_draw``, as ``Fleet``
-does, so both sides consume each node's stream in one order.  The plain
-lens and progress-tail arithmetic (``plain_lens_area`` and friends) is the
+mobility from stepping one node at a time on ``SeedSequence`` generators,
+with each node's draws written out here in the order its stream yields
+them (``init_deployment``, ``renewal_params``) and taken through
+``exponential`` and ``uniform`` rather than the fleet's scaled
+``standard_exponential`` and ``random``.  The plain lens and
+progress-tail arithmetic (``plain_lens_area`` and friends) is the
 library's formula written out on the raw lengths, with nothing computed
 ahead, as the reference its per-distribution terms must match bit for bit.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from fanetsim.mobility import MobilityConfig, MobilityMode, _deploy, _renewal_draw
+from fanetsim.mobility import MobilityConfig, MobilityMode
 
 
 def mc_lens_area(
@@ -328,14 +329,42 @@ def _mode(linear: bool) -> MobilityMode:
     return MobilityMode.LINEAR if linear else MobilityMode.CIRCULAR
 
 
+def renewal_params(
+    linear: bool, cfg: MobilityConfig, rng: np.random.Generator
+) -> MobilityParams:
+    """One renewal's parameters in the given mode, in stream order: the
+    speed (no draw when ``mean_speed`` is 0), the sojourn, then the heading
+    of a linear node, or a circular node's turn radius, orbit phase and
+    spin direction."""
+    speed = rng.exponential(cfg.mean_speed) if cfg.mean_speed > 0 else 0.0
+    sojourn = rng.exponential(cfg.mean_wait)
+    if sojourn <= 0.0:  # an underflowed draw still leaves the state
+        sojourn = 1e-9
+    if linear:
+        return MobilityParams(speed, sojourn, heading=rng.uniform(0.0, _TWO_PI))
+    turn_radius = max(rng.exponential(cfg.mean_turn_radius), 1e-6)
+    phase = rng.uniform(0.0, _TWO_PI)
+    spin = 1.0 if rng.random() < 0.5 else -1.0
+    return MobilityParams(
+        speed, sojourn, 0.0, turn_radius, phase, spin * speed / turn_radius
+    )
+
+
 def init_deployment(cfg: MobilityConfig, n: int, seed) -> list[NodeState]:
-    """Uniform i.i.d. positions on the square, equiprobable initial modes."""
-    return [
-        NodeState(i, x, y, _mode(linear), MobilityParams(*draw))
-        for i, (x, y, linear, *draw) in enumerate(
-            _deploy(cfg, [node_rng(seed, i, _STREAM_INIT) for i in range(n)])
+    """Uniform i.i.d. positions on the square, equiprobable initial modes:
+    each node's init stream draws x, y, the mode, then its parameters."""
+    if n < 2:
+        raise ValueError(f"need at least 2 nodes, got {n!r}")
+    states = []
+    for i in range(n):
+        rng = node_rng(seed, i, _STREAM_INIT)
+        x = rng.uniform(0.0, cfg.area_side)
+        y = rng.uniform(0.0, cfg.area_side)
+        linear = rng.random() < 0.5
+        states.append(
+            NodeState(i, x, y, _mode(linear), renewal_params(linear, cfg, rng))
         )
-    ]
+    return states
 
 
 def _fold(v: float, side: float) -> tuple[float, bool]:
@@ -404,7 +433,7 @@ def step(
     if time_in_state >= params.sojourn:
         if rng.random() < cfg.transition_prob:
             mode = _mode(mode is not MobilityMode.LINEAR)
-        params = MobilityParams(*_renewal_draw(mode is MobilityMode.LINEAR, cfg, rng))
+        params = renewal_params(mode is MobilityMode.LINEAR, cfg, rng)
         time_in_state = 0.0
 
     return NodeState(state.node_id, x, y, mode, params, time_in_state)

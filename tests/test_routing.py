@@ -334,7 +334,7 @@ class TestRouteDijkstra:
             again = snap_from(pos, comm_range=1_200.0)
             assert route_dijkstra(again, 0, 24, weight) == path
 
-    def test_distance_search_is_goal_directed(self, monkeypatch):
+    def test_distance_search_is_goal_directed(self):
         rng = np.random.default_rng(23)
         pos = rng.uniform(0, 40_000, size=(400, 2))
         r = 5_000.0
@@ -345,17 +345,19 @@ class TestRouteDijkstra:
             for s, d in pairs
             if probe.distance(s, d) > 4 * r and route_dijkstra(probe, s, d)
         )
-        rows = Counter()
-        original = ContactSnapshot._row
+        expanded = Counter()
 
-        def counted(self, *args, **kwargs):
-            rows[weight] += 1
-            return original(self, *args, **kwargs)
+        class CountedRows(list):
+            def __getitem__(self, u):
+                expanded[weight] += 1
+                return super().__getitem__(u)
 
-        monkeypatch.setattr(ContactSnapshot, "_row", counted)
-        for weight in PathWeight:  # a fresh snapshot each: no kept rows
-            assert route_dijkstra(snap_from(pos, comm_range=r), s, d, weight)
-        assert 0 < rows[PathWeight.DISTANCE] < rows[PathWeight.DISTANCE_SQUARED]
+        for weight in PathWeight:  # a fresh snapshot and table each
+            snap = snap_from(pos, comm_range=r)
+            rows, lengths = snap._link_table()
+            object.__setattr__(snap, "_table", (CountedRows(rows), lengths))
+            assert route_dijkstra(snap, s, d, weight)
+        assert 0 < expanded[PathWeight.DISTANCE] < expanded[PathWeight.DISTANCE_SQUARED]
 
     def test_reads_kept_link_lists_only(self, monkeypatch):
         rng = np.random.default_rng(21)
@@ -363,7 +365,7 @@ class TestRouteDijkstra:
         pos[59] = (50_000.0, 50_000.0)  # unreachable: the search covers 0's component
         snap = snap_from(pos, comm_range=2_500.0)
         calls = Counter()
-        for name in ("distance", "neighbors", "_row"):
+        for name in ("distance", "neighbors", "links", "_row", "_build_table"):
             original = getattr(ContactSnapshot, name)
 
             def counted(self, *args, _name=name, _original=original, **kwargs):
@@ -372,14 +374,37 @@ class TestRouteDijkstra:
 
             monkeypatch.setattr(ContactSnapshot, name, counted)
         assert route_dijkstra(snap, 0, 59) is None
-        assert calls["_row"] > 1
-        assert calls["distance"] == calls["neighbors"] == 0
+        assert calls == {"_build_table": 1}
         reached = [v for v in range(1, 59) if 0 in snap.neighbors(v)]
         calls.clear()
         for weight in PathWeight:
             assert route_dijkstra(snap, reached[0], 0, weight) is not None
-        assert calls["_row"] == 0  # the second search built no row
-        assert calls["distance"] == calls["neighbors"] == 0
+        assert not calls  # the second search built nothing
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_wide_area_weight_matches_bellman_ford(self, seed):
+        # 400 nodes on 40 km at R = 5 km: a table of many blocks, paths of
+        # many hops
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(0, 40_000, size=(400, 2))
+        snap = snap_from(pos, comm_range=R)
+        reachable = 0
+        for _ in range(5):
+            s, d = (int(v) for v in rng.choice(400, 2, replace=False))
+            for weight in PathWeight:
+                squared = weight is PathWeight.DISTANCE_SQUARED
+                path = route_dijkstra(snap, s, d, weight)
+                oracle = bellman_ford_weight(pos, R, s, d, squared=squared)
+                if path is None:
+                    assert oracle == math.inf
+                    continue
+                reachable += 1
+                w = 0.0
+                for a, b in zip(path, path[1:]):
+                    link = snap.distance(a, b)
+                    w += link * link if squared else link
+                assert w == oracle
+        assert reachable >= 6
 
     def test_never_beaten_by_greedy(self):
         rng = np.random.default_rng(20)

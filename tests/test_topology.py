@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanetsim.mobility import Fleet, MobilityConfig
-from fanetsim.routing import greedy_next_hop
-from fanetsim.topology import ContactSnapshot, NetworkTrace
+from fanetsim.routing import PathWeight, greedy_next_hop, route_dijkstra
+from fanetsim.topology import _BLOCK, ContactSnapshot, NetworkTrace
 
 from oracles import brute_force_neighbors
 
@@ -150,14 +150,21 @@ class TestKeptRows:
         assert dict(snap.links(0)) == {1: 1_000.0, 2: 2_000.0}
 
     def test_each_row_is_built_once_per_position_set(self, monkeypatch):
+        # the true rows come from one link table per snapshot, the
+        # predicted rows from one _row each
         built = Counter()
-        row = ContactSnapshot._row
+        row, table = ContactSnapshot._row, ContactSnapshot._build_table
 
-        def counting_row(snap, i, use_predicted):
-            built[i, use_predicted] += 1
-            return row(snap, i, use_predicted)
+        def counting_row(snap, i):
+            built[i] += 1
+            return row(snap, i)
+
+        def counting_table(snap):
+            built["table"] += 1
+            return table(snap)
 
         monkeypatch.setattr(ContactSnapshot, "_row", counting_row)
+        monkeypatch.setattr(ContactSnapshot, "_build_table", counting_table)
         rng = np.random.default_rng(8)
         pos, pred = rng.uniform(0, 10_000, size=(2, 15, 2))
         snap = snap_from(pos, predicted=pred)
@@ -165,17 +172,18 @@ class TestKeptRows:
             for i in range(15):
                 snap.neighbors(i)
                 snap.neighbors(i, use_predicted=True)
-                list(snap.links(i))  # shares the true-position row
+                list(snap.links(i))  # shares the true-position table
                 greedy_next_hop(snap, i, (i + 1) % 15)
-        assert built == {(i, p): 1 for i in range(15) for p in (False, True)}
+        assert built == {"table": 1, **{i: 1 for i in range(15)}}
 
     def test_pickled_copy_rebuilds_its_rows(self):
         rng = np.random.default_rng(9)
         pos, pred = rng.uniform(0, 10_000, size=(2, 12, 2))
         snap = snap_from(pos, predicted=pred)
         rows = {(i, p): snap.neighbors(i, p) for i in range(12) for p in (False, True)}
+        assert snap._table is not None and snap._predicted_rows
         copy = pickle.loads(pickle.dumps(snap))
-        assert not copy._true_rows and not copy._predicted_rows
+        assert copy._table is None and not copy._predicted_rows
         assert {(i, p): copy.neighbors(i, p) for i in range(12) for p in (False, True)} == rows
 
     @pytest.mark.parametrize("bad", [1.0, True, np.float64(1.0), "1", None])
@@ -201,6 +209,76 @@ class TestKeptRows:
             assert snap.neighbors(i) == snap.neighbors(1) == {0, 2}
             assert dict(snap.links(i)) == dict(snap.links(1))
             assert snap.distance(i, np.int64(2)) == snap.distance(1, 2)
+
+
+class TestLinkTable:
+    """The true-position link table is built whole, _BLOCK rows per scan;
+    sizes around the block size catch a row lost or shifted at a block
+    edge."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.sampled_from((_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)),
+        k=st.integers(20, 1_600),
+        pair=st.tuples(st.integers(0, 2 * _BLOCK), st.integers(0, 2 * _BLOCK)),
+        sx=st.sampled_from((-1, 1)),
+        sy=st.sampled_from((-1, 1)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_table_matches_brute_force(self, n, k, pair, sx, sy, seed):
+        rng = np.random.default_rng(seed)
+        r = 5.0 * k
+        pos = rng.integers(0, 10_000, size=(n, 2)).astype(float)
+        a, b = (p % n for p in pair)
+        if a != b:  # a 3-4-5 offset puts b at exactly R from a
+            pos[b] = pos[a] + (sx * 3.0 * k, sy * 4.0 * k)
+        pos[(a + 1) % n] = pos[a]  # and one node on top of a
+        snap = snap_from(pos, comm_range=r)
+        for i in range(n):
+            row = list(snap.links(i))
+            assert [j for j, _ in row] == sorted(brute_force_neighbors(pos, i, r))
+            assert [w for _, w in row] == [snap.distance(i, j) for j, _ in row]
+            assert snap.neighbors(i) == {j for j, _ in row}
+
+    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+    def test_boundary_and_coincident_points(self, n):
+        # nodes on a line R apart, each with a twin on the same spot
+        r = 3_000.0
+        pos = np.array([(r * (i // 2), 0.0) for i in range(n)])
+        snap = snap_from(pos, comm_range=r)
+        for i in range(n):
+            expected = {j for j in range(n) if j != i and abs(j // 2 - i // 2) <= 1}
+            assert snap.neighbors(i) == expected
+            assert dict(snap.links(i)) == {
+                j: 0.0 if j // 2 == i // 2 else r for j in expected
+            }
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lengths_are_distances_bit_for_bit(self, seed):
+        # np.hypot rounds some of these differently from math.hypot
+        rng = np.random.default_rng(seed)
+        n = 3 * _BLOCK + 5
+        pos = rng.uniform(0, 10_000, size=(n, 2))
+        snap = snap_from(pos, comm_range=4_000.0)
+        for i in range(n):
+            for j, w in snap.links(i):
+                assert w.hex() == snap.distance(i, j).hex() == snap.distance(j, i).hex()
+
+    def test_first_reader_does_not_change_the_table(self):
+        rng = np.random.default_rng(12)
+        pos = rng.uniform(0, 10_000, size=(2 * _BLOCK + 3, 2))
+        by_neighbors, by_links = snap_from(pos), snap_from(pos)
+        by_neighbors.neighbors(_BLOCK)
+        list(by_links.links(_BLOCK + 1))
+        assert by_neighbors._table == by_links._table
+        fresh = snap_from(pos)  # its first search builds the table
+        for s in range(0, len(pos), 5):
+            for d in range(len(pos)):
+                if d != s:
+                    for weight in PathWeight:
+                        path = route_dijkstra(fresh, s, d, weight)
+                        assert route_dijkstra(by_neighbors, s, d, weight) == path
+                        assert route_dijkstra(by_links, s, d, weight) == path
 
 
 class TestPositionStorage:
