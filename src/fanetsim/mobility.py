@@ -17,7 +17,9 @@ is predicted with noise.  It seeds all of its streams in one array pass
 over SeedSequence's hashing; each stream is bit for bit
 ``default_rng(SeedSequence(seed, spawn_key=(node_id, stream)))``.  The
 deployment and every renewal share one draw loop, ``_renewals``, which
-makes each node's scalar ``Generator`` calls in its stream's order.  The
+makes each node's scalar ``Generator`` calls in its stream's order.  A
+step's kinematics are evaluated once: a prediction one step ahead keeps
+its displacement, and the next ``advance`` moves the fleet by it.  The
 per-node reference that the fleet matches bit for bit is a test oracle,
 in ``tests/oracles.py``; it writes each stream's draw order out on its
 own.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import repeat
@@ -126,14 +129,17 @@ def _entropy_words(entropy) -> int:
     return sum(map(_entropy_words, entropy))
 
 
+@functools.cache
 def _hash_rounds(h: int, mult: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """XOR and multiplier of ``k`` successive SeedSequence hash rounds
     from hash constant ``h``: each round XORs its word with ``h``, then
-    advances ``h *= mult`` and multiplies the word by the new ``h``."""
+    advances ``h *= mult`` and multiplies the word by the new ``h``.
+    Cached, and read-only: they depend only on the arguments."""
     hs = [h]
     for _ in range(k):
         hs.append(hs[-1] * mult & _MASK32)
     hs = np.array(hs, dtype=np.uint32)
+    hs.flags.writeable = False
     return hs[:-1], hs[1:]
 
 
@@ -164,7 +170,7 @@ def _stream_words(seed, n: int) -> np.ndarray:
         pool ^= pool >> 16
     # generate_state(4, np.uint64): 8 output rounds, cycling over the pool
     xor, mul = _hash_rounds(_INIT_B, _MULT_B, 8)
-    state = (np.tile(pool, 2) ^ xor) * mul
+    state = (np.concatenate((pool, pool), axis=-1) ^ xor) * mul
     state ^= state >> 16
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
@@ -226,6 +232,12 @@ def _renewals(
     return zip(*rows)
 
 
+def _check_count(name: str, value) -> None:
+    """Reject a bool or a non-integral count; numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _unit(angle: np.ndarray) -> np.ndarray:
     """Rows ``cos a`` and ``sin a``.  ``tests/test_mobility.py`` checks
     that numpy's cos/sin give ``math``'s results, as the per-node reference
@@ -264,6 +276,7 @@ class Fleet:
     """
 
     def __init__(self, cfg: MobilityConfig, n: int, seed):
+        _check_count("n", n)
         if n < 2:
             raise ValueError(f"need at least 2 nodes, got {n!r}")
         self.cfg = cfg
@@ -288,6 +301,9 @@ class Fleet:
         self._noise_rngs = [self._rng(i, _STREAM_NOISE) for i in range(n)]
         self._noise_block = np.empty((n, 0, 2))  # [node, step, axis], drawn ahead
         self._noise_next = 0  # the block's next unread step
+        # _displace(time_step) of the current state, kept by a prediction
+        # whose horizon is one step, for the next advance
+        self._ahead: tuple[np.ndarray, np.ndarray] | None = None
         self.time = 0.0
 
     def _rng(self, node_id: int, stream: int) -> np.random.Generator:
@@ -313,7 +329,8 @@ class Fleet:
         (heading mirrored; orbit phase mirrored and spin reversed), then
         renew each node whose time in state reaches its sojourn."""
         dt = self.cfg.time_step
-        xy, phase = self._displace(dt)
+        ahead, self._ahead = self._ahead, None
+        xy, phase = self._displace(dt) if ahead is None else ahead
         # Linear nodes keep phase and spin 0, so this leaves their phase 0.
         phase %= _TWO_PI
         xy, flipped = _fold_all(xy, self.cfg.area_side)
@@ -374,10 +391,19 @@ class Fleet:
         node's noise stream.  The draws come ``_NOISE_BLOCK`` calls at a
         time, one ``normal`` call per node; a generator yields the same
         values in one call of 2k as in k calls of 2, and nothing else
-        reads the noise streams."""
+        reads the noise streams.
+
+        At a one-step horizon the displacement is the one the next
+        ``advance`` makes, so the fleet keeps it for that step."""
         horizon = self.cfg.horizon
         noise_var = self.cfg.prediction_noise_var
-        xy = self._xy if horizon == 0.0 else self._displace(horizon)[0]
+        if horizon == 0.0:
+            xy = self._xy
+        else:
+            ahead = self._displace(horizon)
+            if horizon == self.cfg.time_step:
+                self._ahead = ahead
+            xy = ahead[0]
         out = xy.T.copy()
         if noise_var > 0.0:
             k = self._noise_next
@@ -398,8 +424,10 @@ def trajectory_rows(
 ) -> Iterator[tuple[float, int, float, float, str]]:
     """(t, node_id, x, y, mode) rows for a trajectory dump, lazily.
 
-    ``n_steps`` is checked on the call, before any row is produced.
+    ``n`` and ``n_steps`` are checked on the call, before any row is
+    produced.
     """
+    _check_count("n_steps", n_steps)
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps!r}")
     fleet = Fleet(cfg, n, seed)

@@ -16,6 +16,9 @@ so results are bitwise identical across repeat invocations and across
 worker counts.  Within one run, all algorithms replay the same mobility
 trace, which makes the comparison paired; the trace steps the fleet only
 as far as the furthest session reads (see ``record_trace``).
+``run_experiment`` resolves each sweep value's ``(NetworkParams,
+MobilityConfig)`` once, and every run and the aggregation of that value
+share the pair.
 
 Metric conventions per cell and algorithm:
 
@@ -324,13 +327,21 @@ class _AlgStats:
     statuses: dict = field(default_factory=lambda: dict.fromkeys(SessionStatus, 0))
 
     def add(self, out: SessionOutcome) -> None:
+        """Tally one session, reading its hops once: travel and power are
+        summed in hop order, as ``total_distance`` and ``total_power`` sum
+        them."""
+        travel = power = 0.0
+        for hop in out.hops:
+            d = hop.tx_distance
+            travel += d
+            power += d * d
         self.sessions += 1
         self.statuses[out.status] += 1
-        self.power_total += out.total_power
-        if out.delivered:
+        self.power_total += power
+        if out.status is SessionStatus.DELIVERED:
             self.delivered += 1
-            self.hops_sum += out.hop_count
-            self.dist_sum += out.total_distance
+            self.hops_sum += len(out.hops)
+            self.dist_sum += travel
             self.delivered_d_sum += out.initial_distance
 
 
@@ -366,13 +377,16 @@ def _route_session(
 
 
 def _run_one(
-    cfg: ExperimentConfig, sweep_idx: int, run_idx: int
+    cfg: ExperimentConfig,
+    sweep_idx: int,
+    run_idx: int,
+    net: NetworkParams,
+    mobility: MobilityConfig,
 ) -> tuple[float, int, dict[Algorithm, _AlgStats]]:
-    """One deployment: start a trace and route every session with every
-    algorithm.  Returns the sessions' summed session-start separation,
-    their count, and each algorithm's tallies."""
-    value = cfg.sweep.values[sweep_idx]
-    net, mobility = _cell_params(cfg, value)
+    """One deployment of sweep value ``sweep_idx``, whose cell parameters
+    are ``net`` and ``mobility``: start a trace and route every session
+    with every algorithm.  Returns the sessions' summed session-start
+    separation, their count, and each algorithm's tallies."""
     entropy = (cfg.seed, sweep_idx, run_idx)
 
     fleet = Fleet(mobility, net.n_nodes, entropy)
@@ -404,9 +418,11 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # Not checked in ExperimentConfig: the figure functions replace the sweep.
+    # Each sweep value's cell parameters are resolved here, once.
+    cells = []
     for value in cfg.sweep.values:
         try:
-            net, _ = _cell_params(cfg, value)
+            net, mobility = _cell_params(cfg, value)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if cfg.sessions_per_run > net.n_nodes * (net.n_nodes - 1):
@@ -414,10 +430,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 f"sessions_per_run={cfg.sessions_per_run} exceeds the number "
                 f"of ordered pairs for n_nodes={net.n_nodes}"
             )
+        cells.append((net, mobility))
 
     tasks = [
-        (cfg, si, ri)
-        for si in range(len(cfg.sweep.values))
+        (cfg, si, ri, net, mobility)
+        for si, (net, mobility) in enumerate(cells)
         for ri in range(cfg.runs)
     ]
     processes = min(cfg.workers, len(tasks), len(os.sched_getaffinity(0)))
@@ -432,9 +449,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     delivered_mean_d: dict = {}
     session_counts: dict = {}
     status_counts: dict = {}
-    for si, value in enumerate(cfg.sweep.values):
+    for si, (value, (net, _)) in enumerate(zip(cfg.sweep.values, cells)):
         cell = results[si * cfg.runs : (si + 1) * cfg.runs]
-        net, _ = _cell_params(cfg, value)
         sums_d, n_sessions, per_alg = zip(*cell)
         mean_d = sum(sums_d) / sum(n_sessions)
         cell_mean_d[value] = mean_d

@@ -18,8 +18,9 @@ every call.  Positions are stored as C-ordered float64 ``(n, 2)``
 arrays, and each has a flat ``memoryview`` (``[x0, y0, x1, y1, ...]``)
 through which per-pair arithmetic reads plain Python floats: the same
 doubles, without numpy scalar overhead.  Node indices must be integers
-in range.  Snapshots compare and hash by identity, so they can key dicts
-and fill sets.
+in range.  ``n_nodes`` is a field set on construction, since the hop
+loop reads it at every decision.  Snapshots compare and hash by
+identity, so they can key dicts and fill sets.
 
 A trace holds one snapshot per step, all with the same node count and
 range.  A ``TraceCursor`` looks its step's snapshot up once, when it is
@@ -48,6 +49,7 @@ class ContactSnapshot:
     true_positions: np.ndarray
     predicted_positions: np.ndarray
     comm_range: float
+    n_nodes: int = field(init=False, repr=False)
     # per node, ascending true-position neighbors and their lengths
     _table: tuple | None = field(default=None, init=False, repr=False)
     # node -> ascending predicted-position neighbors
@@ -71,6 +73,7 @@ class ContactSnapshot:
                 "true and predicted position lists differ in length: "
                 f"{len(self.true_positions)} vs {len(self.predicted_positions)}"
             )
+        object.__setattr__(self, "n_nodes", len(self.true_positions))
         if not 0.0 < self.comm_range < math.inf:  # NaN would empty every row
             raise ValueError(f"comm_range must be finite and > 0, got {self.comm_range!r}")
 
@@ -89,10 +92,6 @@ class ContactSnapshot:
             predicted_positions=fleet.predicted_positions(),
             comm_range=comm_range,
         )
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.true_positions)
 
     def _check_index(self, i: int) -> None:
         """Reject a node index that is not an integer (a bool or 1.0 would

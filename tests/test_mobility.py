@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fanetsim import mobility
 from fanetsim.mobility import Fleet, MobilityConfig, MobilityMode, trajectory_rows
+from fanetsim.simharness import record_trace
 
 from oracles import (
     MobilityParams,
@@ -271,6 +273,106 @@ class TestNoiseBlocks:
             fleet.predicted_positions()
             fleet.advance()
         assert [g.bit_generator.state for g in fleet._noise_rngs] == before
+
+
+# Every array of a fleet's motion state.
+_STATE = (
+    "_xy", "_linear", "_speed", "_sojourn", "_heading", "_turn_radius",
+    "_phase", "_angular_speed", "_time_in_state",
+)
+
+
+class TestPredictionKeepsTrajectory:
+    """A one-step prediction hands its displacement to the next advance;
+    predicting never changes where the fleet goes."""
+
+    @pytest.mark.parametrize("horizon", [None, 1.0, 0.5, 0.0])  # x time_step
+    @pytest.mark.parametrize("mean_speed", [50.0, 400.0])
+    def test_prediction_never_moves_the_trajectory(
+        self, monkeypatch, horizon, mean_speed
+    ):
+        folds = []
+        original = mobility._fold_all
+
+        def counted(v, side):
+            out = original(v, side)
+            folds.append(out[1] is not None)
+            return out
+
+        monkeypatch.setattr(mobility, "_fold_all", counted)
+        time_step = 5.0
+        cfg = MobilityConfig(
+            area_side=1_000.0,
+            mean_speed=mean_speed,
+            mean_wait=8.0,
+            time_step=time_step,
+            prediction_horizon=None if horizon is None else horizon * time_step,
+        )
+        # one fleet predicts before every step, one before some steps
+        # (twice before a few), and one never
+        every, some, plain = (Fleet(cfg, 12, 31) for _ in range(3))
+        for k in range(25):
+            every.predicted_positions()
+            for _ in range((k % 3 == 0) + (k % 5 == 0)):
+                some.predicted_positions()
+            for fleet in (every, some, plain):
+                fleet.advance()
+            for fleet in (every, some):
+                assert fleet.time == plain.time
+                assert (
+                    fleet.true_positions().tobytes()
+                    == plain.true_positions().tobytes()
+                )
+                for name in _STATE:
+                    a, b = getattr(fleet, name), getattr(plain, name)
+                    assert a.tobytes() == b.tobytes(), name
+        assert any(folds)  # some node reflected off a wall
+        assert None not in plain._motion_rngs  # every node renewed
+
+    @pytest.mark.parametrize(
+        "horizon, calls",
+        [(None, lambda k: k + 1), (1.0, lambda k: k + 1),
+         (0.5, lambda k: 2 * k + 1), (0.0, lambda k: k)],
+    )
+    def test_trace_displaces_once_per_step(self, monkeypatch, horizon, calls):
+        displaced = []
+        original = Fleet._displace
+
+        def counted(fleet, dt):
+            displaced.append(dt)
+            return original(fleet, dt)
+
+        monkeypatch.setattr(Fleet, "_displace", counted)
+        time_step = 30.0
+        cfg = MobilityConfig(
+            time_step=time_step,
+            prediction_horizon=None if horizon is None else horizon * time_step,
+        )
+        trace = record_trace(Fleet(cfg, 10, 0), 5_000.0, 40)
+        for k in range(12):
+            trace.snapshot(k)
+            assert len(displaced) == calls(k)
+
+
+@pytest.mark.parametrize("n", [True, 3.0, 2.5, "3", None])
+def test_fleet_rejects_non_integer_node_count(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        Fleet(MobilityConfig(), n, 0)
+
+
+@pytest.mark.parametrize("n, n_steps, name", [
+    (3, 1.5, "n_steps"), (3, 2.0, "n_steps"), (3, True, "n_steps"),
+    (3.0, 2, "n"), (False, 2, "n"),
+])
+def test_trajectory_rows_rejects_non_integer_counts(n, n_steps, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        trajectory_rows(MobilityConfig(), n, 0, n_steps)
+
+
+def test_numpy_integer_counts_accepted():
+    assert Fleet(MobilityConfig(), np.int64(3), 0).n_nodes == 3
+    rows = list(trajectory_rows(MobilityConfig(), np.int32(3), 0, np.int64(2)))
+    assert len(rows) == 3 * 3
 
 
 def _reference_run(cfg, n, seed, n_steps, order):

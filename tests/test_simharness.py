@@ -197,6 +197,21 @@ class TestDeterminism:
         assert opened_pools == pools
         assert result.to_csv() == run_experiment(replace(cfg, workers=1)).to_csv()
 
+    def test_cell_params_resolved_once_per_sweep_value(self, monkeypatch):
+        # a speed sweep builds one MobilityConfig per sweep value, however
+        # many runs each value has; the runs and the aggregation share it
+        cfg = small_config(sweep=SweepSpec("mean_speed", (0.0, 5.0, 10.0)), runs=4)
+        built = []
+        original = MobilityConfig.__post_init__
+
+        def counted(mob):
+            built.append(mob.mean_speed)
+            original(mob)
+
+        monkeypatch.setattr(MobilityConfig, "__post_init__", counted)
+        run_experiment(cfg)
+        assert built == [0.0, 5.0, 10.0]
+
     def test_seed_changes_results(self):
         a = run_experiment(small_config(seed=1))
         b = run_experiment(small_config(seed=2))
