@@ -14,8 +14,12 @@ reproducibility contract.  ``Fleet`` steps the whole deployment as
 arrays (kinematics, reflection and prediction are a few array operations
 per step) and draws from a node's stream only when that node renews or
 is predicted with noise.  It seeds all of its streams in one array pass
-over SeedSequence's hashing; each stream is bit for bit
-``default_rng(SeedSequence(seed, spawn_key=(node_id, stream)))``.  The
+over SeedSequence's hashing, whose key-word terms are cached per hash
+constant and node count; each stream is bit for bit
+``default_rng(SeedSequence(seed, spawn_key=(node_id, stream)))``, built
+from its own row of seed words.  Prediction noise is drawn eight
+predictions ahead, one ``standard_normal`` call per node into one block,
+scaled by sigma once: the bits of ``normal(0.0, sigma)``.  The
 deployment and every renewal share one draw loop, ``_renewals``, which
 makes each node's scalar ``Generator`` calls in its stream's order.  A
 step's kinematics are evaluated once: a prediction one step ahead keeps
@@ -143,6 +147,27 @@ def _hash_rounds(h: int, mult: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return hs[:-1], hs[1:]
 
 
+@functools.lru_cache(maxsize=16)  # an entry holds 16 bytes per node
+def _key_mixins(h: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_MIX_R`` times the hashed key words ``node`` (shape ``(n, 1)``)
+    and ``stream`` (shape ``(3, 1, 1)``), each mixed in by its own hash
+    round after the entropy's rounds left hash constant ``h``.  Cached,
+    and read-only: they depend only on the arguments."""
+    xor, mul = _hash_rounds(h, _MULT_A, 8)
+    keys = (
+        np.arange(n, dtype=np.uint32)[:, None],
+        np.arange(3, dtype=np.uint32)[:, None, None],
+    )
+    out = []
+    for word, x, m in zip(keys, xor.reshape(2, 4), mul.reshape(2, 4)):
+        mixin = (word ^ x) * m
+        mixin ^= mixin >> 16
+        mixin *= _MIX_R
+        mixin.flags.writeable = False
+        out.append(mixin)
+    return tuple(out)
+
+
 def _stream_words(seed, n: int) -> np.ndarray:
     """PCG64 seed words of every stream of an ``n``-node fleet: row
     ``[stream, node]`` is what ``SeedSequence(seed, spawn_key=(node,
@@ -152,21 +177,14 @@ def _stream_words(seed, n: int) -> np.ndarray:
     over all streams at once.  The pool of the run entropy alone is shared
     by every stream, so it comes from numpy.  Each key word then mixes into
     each pool word with its own hash round, whose constants depend only on
-    how many rounds the entropy took before it.
+    how many rounds the entropy took before it (``_key_mixins``).
     """
     base = np.random.SeedSequence(seed)
     rounds = 16 + 4 * max(0, _entropy_words(base.entropy) - 4)
     h = _INIT_A * pow(_MULT_A, rounds, 1 << 32) & _MASK32
-    xor, mul = _hash_rounds(h, _MULT_A, 8)
-    keys = (
-        np.arange(n, dtype=np.uint32)[:, None],
-        np.arange(3, dtype=np.uint32)[:, None, None],
-    )
     pool = base.pool
-    for word, x, m in zip(keys, xor.reshape(2, 4), mul.reshape(2, 4)):
-        mixin = (word ^ x) * m
-        mixin ^= mixin >> 16
-        pool = _MIX_L * pool - _MIX_R * mixin
+    for mixin in _key_mixins(h, n):
+        pool = _MIX_L * pool - mixin
         pool ^= pool >> 16
     # generate_state(4, np.uint64): 8 output rounds, cycling over the pool
     xor, mul = _hash_rounds(_INIT_B, _MULT_B, 8)
@@ -280,7 +298,8 @@ class Fleet:
         if n < 2:
             raise ValueError(f"need at least 2 nodes, got {n!r}")
         self.cfg = cfg
-        self._words = _stream_words(seed, n)
+        # _words[stream][node]: a stream's seed words, split once into rows
+        self._words = [list(rows) for rows in _stream_words(seed, n)]
         # Each init stream draws x, y, then the initial mode as a switch
         # out of circular with probability 1/2, then the mode's parameters.
         init = [self._rng(i, _STREAM_INIT) for i in range(n)]
@@ -308,7 +327,7 @@ class Fleet:
 
     def _rng(self, node_id: int, stream: int) -> np.random.Generator:
         """The generator of one node's stream, from the words hashed at init."""
-        words = _seed_words_type()(self._words[stream, node_id])
+        words = _seed_words_type()(self._words[stream][node_id])
         return np.random.Generator(np.random.PCG64(words))
 
     @property
@@ -389,9 +408,10 @@ class Fleet:
 
         Each call reads the next ``normal(0, sigma, 2)`` draw of every
         node's noise stream.  The draws come ``_NOISE_BLOCK`` calls at a
-        time, one ``normal`` call per node; a generator yields the same
-        values in one call of 2k as in k calls of 2, and nothing else
-        reads the noise streams.
+        time, one ``standard_normal`` call per node, filling its rows of
+        one block that is then scaled by sigma; a generator yields the
+        same values in one call of 2k as in k calls of 2, and nothing
+        else reads the noise streams.
 
         At a one-step horizon the displacement is the one the next
         ``advance`` makes, so the fleet keeps it for that step."""
@@ -408,11 +428,12 @@ class Fleet:
         if noise_var > 0.0:
             k = self._noise_next
             if k == self._noise_block.shape[1]:
-                sigma = math.sqrt(noise_var)
-                shape = (_NOISE_BLOCK, 2)
-                self._noise_block = np.array(
-                    [g.normal(0.0, sigma, shape) for g in self._noise_rngs]
-                )
+                # normal(0.0, sigma) computes 0.0 + sigma * z: the same bits
+                block = np.empty((len(self._noise_rngs), _NOISE_BLOCK, 2))
+                for g, rows in zip(self._noise_rngs, block):
+                    g.standard_normal(out=rows)
+                block *= math.sqrt(noise_var)
+                self._noise_block = block
                 k = 0
             out += self._noise_block[:, k]
             self._noise_next = k + 1

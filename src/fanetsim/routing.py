@@ -14,14 +14,17 @@ the same doubles a numpy read gives; it scans the set unsorted and breaks
 equal distances toward the lowest index itself.  The Dijkstra baseline
 plans its whole path once on the session-start true positions and never
 replans.  It searches with A* toward the destination for ``distance``
-weights (straight-line heuristic on the true positions) and with plain
-Dijkstra for ``distance_squared``; both return a minimum-weight path,
-and only the choice among paths of exactly equal weight may differ from
-an uninformed Dijkstra's.  It reads the snapshot's true-position link
-table directly: ascending neighbor rows with their ``math.hypot``
-lengths, built whole by the first search (or ``links``/``neighbors``
-call) on that snapshot and shared by every later one.  It keeps its
-per-node state in lists and a bytearray indexed by node.
+weights and with plain Dijkstra for ``distance_squared``; both return a
+minimum-weight path, and only the choice among paths of exactly equal
+weight may differ from an uninformed Dijkstra's.  The A* heuristic of a
+node is its ``distance`` to the destination, bit for bit, taken with
+``math.hypot`` through the flat true-position view for the source and
+for each node the search pushes, not for the whole snapshot.  It reads
+the snapshot's true-position link table directly: ascending neighbor
+rows with their ``math.hypot`` lengths, built whole by the first search
+(or ``links``/``neighbors`` call) on that snapshot and shared by every
+later one.  It keeps its per-node state in lists and a bytearray indexed
+by node.
 Whatever positions the decision used, link validity and all metrics
 (link length, progress) are evaluated on the true positions at transmit
 time, i.e. on the snapshot where the transmission completes: a decided
@@ -35,18 +38,22 @@ bit for bit.  ``route_greedy`` and ``execute_path`` differ only in how
 they choose each relay.  Greedy relays come from a snapshot's own
 neighbor rows, so the loop does not check them; ``execute_path`` checks
 every node of its path once, before the first hop.
+
+``HopRecord`` and ``SessionOutcome`` are named tuples: immutable, cheap to
+build, and equal to plain tuples of their fields.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .topology import ContactSnapshot
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "HopRecord",
@@ -72,8 +79,7 @@ class PathWeight(Enum):
     DISTANCE_SQUARED = "distance_squared"
 
 
-@dataclass(frozen=True)
-class HopRecord:
+class HopRecord(NamedTuple):
     """One completed transmission: link length and progress on true positions."""
 
     src: int
@@ -83,8 +89,7 @@ class HopRecord:
     time: float
 
 
-@dataclass(frozen=True)
-class SessionOutcome:
+class SessionOutcome(NamedTuple):
     """One packet journey from source toward destination."""
 
     source: int
@@ -229,10 +234,10 @@ def route_dijkstra(
     different components.  The search is A*: each node's heap key adds
     ``h(v)``, its straight-line distance to ``dest`` on the true positions
     for ``DISTANCE`` weights (no link is shorter than the progress it
-    makes, so the bound is consistent), and 0 for ``DISTANCE_SQUARED``,
-    which leaves plain Dijkstra.  The returned path always has minimum
-    weight; among paths of exactly equal weight, the one chosen may differ
-    from an uninformed Dijkstra's.
+    makes, so the bound is consistent), computed as the node is pushed,
+    and 0 for ``DISTANCE_SQUARED``, which leaves plain Dijkstra.  The
+    returned path always has minimum weight; among paths of exactly equal
+    weight, the one chosen may differ from an uninformed Dijkstra's.
     """
     if source == dest:
         raise ValueError("source and destination must differ")
@@ -240,11 +245,9 @@ def route_dijkstra(
     snap._check_index(dest)
     n = snap.n_nodes
     squared = weight is PathWeight.DISTANCE_SQUARED
-    if squared:
-        h = [0.0] * n  # no useful lower bound on summed squares
-    else:
-        pos = snap.true_positions
-        h = np.hypot(pos[:, 0] - pos[dest, 0], pos[:, 1] - pos[dest, 1]).tolist()
+    if not squared:  # h(v) is distance(v, dest), taken when v is pushed
+        m, hypot = snap._true_xy, math.hypot
+        tx, ty = m[2 * dest], m[2 * dest + 1]
     rows, lengths = snap._link_table()
     inf = math.inf
     dist = [inf] * n
@@ -252,7 +255,8 @@ def route_dijkstra(
     prev = [-1] * n
     done = bytearray(n)
     heappush, heappop = heapq.heappush, heapq.heappop
-    heap: list[tuple[float, int]] = [(h[source], source)]
+    h0 = 0.0 if squared else hypot(m[2 * source] - tx, m[2 * source + 1] - ty)
+    heap: list[tuple[float, int]] = [(h0, source)]
     while heap:
         _, u = heappop(heap)
         if done[u]:
@@ -270,7 +274,9 @@ def route_dijkstra(
             if alt < dist[v]:
                 dist[v] = alt
                 prev[v] = u
-                heappush(heap, (alt + h[v], v))
+                if not squared:
+                    alt += hypot(m[2 * v] - tx, m[2 * v + 1] - ty)
+                heappush(heap, (alt, v))
     if dist[dest] == inf:
         return None
     path = [dest]

@@ -18,7 +18,9 @@ trace, which makes the comparison paired; the trace steps the fleet only
 as far as the furthest session reads (see ``record_trace``).
 ``run_experiment`` resolves each sweep value's ``(NetworkParams,
 MobilityConfig)`` once, and every run and the aggregation of that value
-share the pair.
+share the pair.  A run tallies its sessions' statuses under their string
+values, and the aggregation maps them back to :class:`SessionStatus`
+once per cell, for ``ExperimentResult.status_counts``.
 
 Metric conventions per cell and algorithm:
 
@@ -316,6 +318,9 @@ def _draw_pairs(
     return pairs
 
 
+_STATUS_VALUES = tuple(s.value for s in SessionStatus)
+
+
 @dataclass
 class _AlgStats:
     sessions: int = 0
@@ -324,7 +329,9 @@ class _AlgStats:
     dist_sum: float = 0.0
     delivered_d_sum: float = 0.0
     power_total: float = 0.0
-    statuses: dict = field(default_factory=lambda: dict.fromkeys(SessionStatus, 0))
+    # session count per SessionStatus value: a str key hashes in C, where
+    # an enum member hashes through Enum.__hash__
+    statuses: dict = field(default_factory=lambda: dict.fromkeys(_STATUS_VALUES, 0))
 
     def add(self, out: SessionOutcome) -> None:
         """Tally one session, reading its hops once: travel and power are
@@ -335,10 +342,11 @@ class _AlgStats:
             d = hop.tx_distance
             travel += d
             power += d * d
+        status = out.status
         self.sessions += 1
-        self.statuses[out.status] += 1
+        self.statuses[status._value_] += 1
         self.power_total += power
-        if out.status is SessionStatus.DELIVERED:
+        if status is SessionStatus.DELIVERED:
             self.delivered += 1
             self.hops_sum += len(out.hops)
             self.dist_sum += travel
@@ -410,10 +418,11 @@ def _run_one(
 def _mean_stderr(values: list[float]) -> tuple[float, float]:
     if not values:
         return math.nan, math.nan
-    mean = float(np.mean(values))
-    if len(values) < 2:
+    a = np.array(values)
+    mean = float(a.mean())
+    if len(a) < 2:
         return mean, 0.0
-    return mean, float(np.std(values, ddof=1) / math.sqrt(len(values)))
+    return mean, float(a.std(ddof=1) / math.sqrt(len(a)))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -477,7 +486,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 sum(r.sessions for r in per_run),
             )
             status_counts[value, alg.value] = {
-                status: sum(r.statuses[status] for r in per_run)
+                status: sum(r.statuses[status.value] for r in per_run)
                 for status in SessionStatus
             }
             for metric, values in (

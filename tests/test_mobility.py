@@ -266,6 +266,25 @@ class TestNoiseBlocks:
             draws = np.array([g.normal(0.0, sigma, 2) for g in noise])
             assert fleet.predicted_positions().tobytes() == (base + draws).tobytes()
 
+    @pytest.mark.parametrize("noise_var", [0.0, 1e-12, 10.0, 1e6])
+    def test_stepped_predictions_read_each_node_stream(self, noise_var):
+        # 17 predict-and-advance steps cross two 8-prediction blocks
+        n, seed, steps = 5, 29, 17
+        fleet = Fleet(MobilityConfig(prediction_noise_var=noise_var), n, seed)
+        exact = Fleet(MobilityConfig(prediction_noise_var=0.0), n, seed)
+        noise = [node_rng(seed, i, 2) for i in range(n)]
+        sigma = math.sqrt(noise_var)
+        before = [g.bit_generator.state for g in fleet._noise_rngs]
+        for _ in range(steps):
+            expected = exact.predicted_positions()
+            if noise_var > 0.0:
+                expected = expected + [g.normal(0.0, sigma, 2) for g in noise]
+            assert fleet.predicted_positions().tobytes() == expected.tobytes()
+            fleet.advance()
+            exact.advance()
+        after = [g.bit_generator.state for g in fleet._noise_rngs]
+        assert (after == before) == (noise_var == 0.0)
+
     def test_zero_noise_draws_nothing(self):
         fleet = Fleet(MobilityConfig(prediction_noise_var=0.0), 5, 8)
         before = [g.bit_generator.state for g in fleet._noise_rngs]

@@ -1,4 +1,5 @@
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fanetsim.mobility import Fleet, MobilityConfig
 from fanetsim.routing import (
+    HopRecord,
     PathWeight,
+    SessionOutcome,
     SessionStatus,
     execute_path,
     greedy_next_hop,
@@ -359,6 +362,37 @@ class TestRouteDijkstra:
             assert route_dijkstra(snap, s, d, weight)
         assert 0 < expanded[PathWeight.DISTANCE] < expanded[PathWeight.DISTANCE_SQUARED]
 
+    def test_heuristic_is_computed_on_demand(self):
+        rng = np.random.default_rng(23)
+        n = 400
+        pos = rng.uniform(0, 40_000, size=(n, 2))
+        r = 5_000.0
+
+        class CountedView:
+            def __init__(self, view):
+                self.view, self.nodes = view, set()
+
+            def __getitem__(self, k):
+                self.nodes.add(k // 2)
+                return self.view[k]
+
+        searched = 0
+        for _ in range(20):
+            s, d = (int(v) for v in rng.choice(n, 2, replace=False))
+            for weight in PathWeight:
+                snap = snap_from(pos, comm_range=r)
+                snap._link_table()
+                view = CountedView(snap._true_xy)
+                object.__setattr__(snap, "_true_xy", view)
+                path = route_dijkstra(snap, s, d, weight)
+                if weight is PathWeight.DISTANCE_SQUARED:
+                    assert not view.nodes
+                elif path is not None:
+                    searched += 1
+                    assert {s, d} <= view.nodes
+                    assert len(view.nodes) < n
+        assert searched >= 5
+
     def test_reads_kept_link_lists_only(self, monkeypatch):
         rng = np.random.default_rng(21)
         pos = rng.uniform(0, 10_000, size=(60, 2))
@@ -430,6 +464,61 @@ class TestRouteDijkstra:
                 for a, b in zip(path_sq, path_sq[1:])
             )
             assert w_sq <= greedy.total_power + 1e-9
+
+
+class TestRecords:
+    """Hop records and session outcomes are named tuples."""
+
+    HOPS = (
+        HopRecord(0, 3, 4000.0, 3500.0, 1.0),
+        HopRecord(3, 7, 2500.5, 1200.25, 2.0),
+        HopRecord(7, 9, 0.125, 0.0625, 3.0),
+    )
+
+    def outcome(self, status=SessionStatus.DELIVERED):
+        return SessionOutcome(0, 9, 6000.0, self.HOPS, status)
+
+    def test_fields_are_read_only(self):
+        out = self.outcome()
+        for record, name in ((self.HOPS[0], "tx_distance"), (out, "status")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+    def test_pickle_round_trip(self):
+        out = self.outcome()
+        copy = pickle.loads(pickle.dumps(out))
+        assert copy == out
+        assert type(copy) is SessionOutcome
+        assert type(copy.hops[1]) is HopRecord
+
+    def test_tuple_behaviour(self):
+        out = self.outcome()
+        assert len(out) == 5 and len(self.HOPS[0]) == 5
+        assert out == (0, 9, 6000.0, self.HOPS, SessionStatus.DELIVERED)
+        assert self.HOPS[1] == (3, 7, 2500.5, 1200.25, 2.0)
+
+    def test_properties_match_hand_sums(self):
+        out = self.outcome()
+        assert out.hop_count == 3
+        assert out.total_distance == 4000.0 + 2500.5 + 0.125
+        assert out.total_power == 4000.0**2 + 2500.5**2 + 0.125**2
+        assert out.delivered
+        for status in SessionStatus:
+            assert self.outcome(status).delivered == (status is SessionStatus.DELIVERED)
+        empty = SessionOutcome(0, 9, 6000.0, (), SessionStatus.STUCK_NO_PROGRESS)
+        assert (empty.hop_count, empty.total_distance, empty.total_power) == (0, 0, 0)
+
+    def test_session_hops_are_a_tuple_of_hop_records(self):
+        pos = [(i * 4_000.0, 0.0) for i in range(6)]
+        path = route_dijkstra(snap_from(pos), 0, 5)
+        for out in (
+            route_greedy(static_trace(pos).cursor(), 0, 5, True, max_hops=10),
+            route_greedy(static_trace(pos).cursor(), 0, 5, False, max_hops=10),
+            execute_path(static_trace(pos).cursor(), path, 10),
+        ):
+            assert out.delivered and out.hop_count == 5
+            assert type(out.hops) is tuple
+            assert all(type(h) is HopRecord for h in out.hops)
 
 
 class TestExecutePath:
