@@ -66,7 +66,7 @@ def _scalar_fields(obj, skip: str = "") -> dict:
         f.name: getattr(obj, f.name)
         for f in fields(obj)
         if f.name != skip
-        and isinstance(getattr(obj, f.name), (int, float, Enum, type(None)))
+        and isinstance(getattr(obj, f.name), (int, float, Enum))
     }
 
 
@@ -84,8 +84,6 @@ _SECTIONS = _sections(ExperimentConfig())  # the INI keys and their types
 
 
 def _format(default) -> str:
-    if default is None:
-        return ""
     return default.value if isinstance(default, Enum) else str(default)
 
 
@@ -131,14 +129,10 @@ def _parse(cp: configparser.ConfigParser, section: str, key: str, default):
     """One INI value, parsed as its default's type."""
     raw = cp[section][key]
     try:
-        if isinstance(default, bool):
-            return cp.getboolean(section, key)
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, Enum):
             return type(default)(raw.strip().lower())
-        if default is None and not raw.strip():
-            return None
         if (section, key) in _LENGTH_KEYS:
             return parse_length(raw)
         return float(raw)
@@ -348,12 +342,22 @@ def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         if args.command in FIGURES:
-            return _cmd_figure(args.command, args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "route":
-            return _cmd_route(args)
-        return _cmd_trace(args)
+            status = _cmd_figure(args.command, args)
+        elif args.command == "bounds":
+            status = _cmd_bounds(args)
+        elif args.command == "route":
+            status = _cmd_route(args)
+        else:
+            status = _cmd_trace(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader stopped early (``| head``): stop quietly, as a tool
+        # killed by SIGPIPE would.  Later flushes go to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -22,8 +22,9 @@ predictions ahead, one ``standard_normal`` call per node into one block,
 scaled by sigma once: the bits of ``normal(0.0, sigma)``.  The
 deployment and every renewal share one draw loop, ``_renewals``, which
 makes each node's scalar ``Generator`` calls in its stream's order.  A
-step's kinematics are evaluated once: a prediction one step ahead keeps
-its displacement, and the next ``advance`` moves the fleet by it.  The
+prediction extrapolates one time step, to a hop's landing time, so a
+step's kinematics are evaluated once: the prediction keeps its
+displacement, and the next ``advance`` moves the fleet by it.  The
 per-node reference that the fleet matches bit for bit is a test oracle,
 in ``tests/oracles.py``; it writes each stream's draw order out on its
 own.
@@ -68,13 +69,12 @@ class MobilityConfig:
     transition_prob: float = 0.2
     time_step: float = 1.0
     prediction_noise_var: float = 10.0
-    prediction_horizon: float | None = None  # None: one time step ahead
     mean_turn_radius: float = 500.0
 
     def __post_init__(self) -> None:
         for f in fields(self):
             v = getattr(self, f.name)
-            if v is not None and not math.isfinite(v):
+            if not math.isfinite(v):
                 raise ValueError(f"{f.name} must be finite, got {v!r}")
         if self.area_side <= 0.0:
             raise ValueError(f"area_side must be > 0, got {self.area_side!r}")
@@ -97,10 +97,6 @@ class MobilityConfig:
             raise ValueError(
                 f"mean_turn_radius must be > 0, got {self.mean_turn_radius!r}"
             )
-        if self.prediction_horizon is not None and self.prediction_horizon < 0.0:
-            raise ValueError(
-                f"prediction_horizon must be >= 0, got {self.prediction_horizon!r}"
-            )
         # Reflection folds off one wall per pass, so its cost grows with the
         # travel per step; past ~2**53 sides it would never end.
         if self.mean_speed * self.time_step > _MAX_SIDES_PER_STEP * self.area_side:
@@ -109,14 +105,6 @@ class MobilityConfig:
                 f"area_side, got {self.mean_speed!r} * {self.time_step!r} "
                 f"on area_side {self.area_side!r}"
             )
-
-    @property
-    def horizon(self) -> float:
-        return (
-            self.time_step
-            if self.prediction_horizon is None
-            else self.prediction_horizon
-        )
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
@@ -321,7 +309,7 @@ class Fleet:
         self._noise_block = np.empty((n, 0, 2))  # [node, step, axis], drawn ahead
         self._noise_next = 0  # the block's next unread step
         # _displace(time_step) of the current state, kept by a prediction
-        # whose horizon is one step, for the next advance
+        # for the next advance
         self._ahead: tuple[np.ndarray, np.ndarray] | None = None
         self.time = 0.0
 
@@ -402,9 +390,10 @@ class Fleet:
         return self._xy.T.copy()
 
     def predicted_positions(self) -> np.ndarray:
-        """Every node's current kinematics extrapolated ``cfg.horizon``
-        seconds ahead (no renewal or reflection is anticipated), plus
-        per-node Gaussian noise of per-axis variance ``prediction_noise_var``.
+        """Every node's current kinematics extrapolated one ``time_step``
+        ahead, to where a hop decided now lands (no renewal or reflection
+        is anticipated), plus per-node Gaussian noise of per-axis variance
+        ``prediction_noise_var``.
 
         Each call reads the next ``normal(0, sigma, 2)`` draw of every
         node's noise stream.  The draws come ``_NOISE_BLOCK`` calls at a
@@ -413,18 +402,11 @@ class Fleet:
         same values in one call of 2k as in k calls of 2, and nothing
         else reads the noise streams.
 
-        At a one-step horizon the displacement is the one the next
-        ``advance`` makes, so the fleet keeps it for that step."""
-        horizon = self.cfg.horizon
+        The displacement is the one the next ``advance`` makes, so the
+        fleet keeps it for that step."""
         noise_var = self.cfg.prediction_noise_var
-        if horizon == 0.0:
-            xy = self._xy
-        else:
-            ahead = self._displace(horizon)
-            if horizon == self.cfg.time_step:
-                self._ahead = ahead
-            xy = ahead[0]
-        out = xy.T.copy()
+        self._ahead = self._displace(self.cfg.time_step)
+        out = self._ahead[0].T.copy()
         if noise_var > 0.0:
             k = self._noise_next
             if k == self._noise_block.shape[1]:

@@ -4,10 +4,11 @@ A session moves one packet from source toward destination, one hop per
 time step of the driving network: the forwarding decision is made at the
 start of the step and the transmission completes at its end.  Greedy
 forwarding re-decides at every hop: the predictive variant reads each
-step's predicted positions (which, at the default one-step prediction
-horizon, estimate exactly where nodes will be when the packet lands),
-while the static variant keeps deciding on the snapshot frozen at session
-start.  A hop choice takes its candidates from one
+step's predicted positions, which estimate where nodes will be when the
+packet lands one time step later, while the static variant keeps deciding
+on the snapshot frozen at session start.  Either scores its candidates
+against the destination's position in the snapshot it decides on.  A hop
+choice takes its candidates from one
 ``ContactSnapshot.neighbors`` call and scores them with ``math.hypot`` on
 plain floats read through the snapshot's flat predicted-position view,
 the same doubles a numpy read gives; it scans the set unsorted and breaks
@@ -48,12 +49,9 @@ from __future__ import annotations
 import heapq
 import math
 from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .topology import ContactSnapshot
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "HopRecord",
@@ -116,20 +114,15 @@ class SessionOutcome(NamedTuple):
         return self.status is SessionStatus.DELIVERED
 
 
-def greedy_next_hop(
-    snap: ContactSnapshot,
-    current: int,
-    dest: int,
-    dest_pos: np.ndarray | None = None,
-) -> int | None:
+def greedy_next_hop(snap: ContactSnapshot, current: int, dest: int) -> int | None:
     """Neighbor of ``current`` closest to the destination, if it makes
-    progress, judged on the snapshot's predicted positions.
+    progress, judged on the snapshot's predicted positions of every node,
+    the destination included.
 
     Returns the destination itself whenever it is a neighbor, otherwise the
     neighbor strictly closer to the destination than ``current`` is (ties
     broken toward the lowest node index), or None when no neighbor makes
-    progress.  ``dest_pos`` overrides the destination coordinate, for
-    callers that carry a stale destination location in the packet.
+    progress.
     """
     if not (type(dest) is int and 0 <= dest < snap.n_nodes):
         snap._check_index(dest)
@@ -139,10 +132,7 @@ def greedy_next_hop(
     if dest in nbrs:
         return dest
     m = snap._predicted_xy
-    if dest_pos is None:
-        tx, ty = m[2 * dest], m[2 * dest + 1]
-    else:
-        tx, ty = float(dest_pos[0]), float(dest_pos[1])
+    tx, ty = m[2 * dest], m[2 * dest + 1]
     hypot = math.hypot
     best = None
     best_d = hypot(m[2 * current] - tx, m[2 * current + 1] - ty)
@@ -199,7 +189,6 @@ def route_greedy(
     predictive: bool = True,
     *,
     max_hops: int,
-    refresh_destination: bool = True,
 ) -> SessionOutcome:
     """Run one greedy session against a time-evolving network.
 
@@ -210,14 +199,9 @@ def route_greedy(
     if source == dest:
         raise ValueError("source and destination must differ")
     snap0 = sim.snapshot()
-    frozen_dest = None
-    if predictive and not refresh_destination:
-        frozen_dest = snap0.predicted_positions[dest].copy()
 
     def choose(k: int, snap: ContactSnapshot, current: int) -> int | None:
-        return greedy_next_hop(
-            snap if predictive else snap0, current, dest, dest_pos=frozen_dest
-        )
+        return greedy_next_hop(snap if predictive else snap0, current, dest)
 
     return _forward(sim, source, dest, max_hops, choose)
 

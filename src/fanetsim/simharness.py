@@ -54,7 +54,7 @@ from .analysis import NetworkParams, bounds_report
 # Module attributes that perfbench/tracing.py wraps by name; they are not
 # called here since the corridors come from bounds_report.
 from .analysis import expected_total_distance, hop_bounds, success_probability  # noqa: F401
-from .mobility import Fleet, MobilityConfig
+from .mobility import Fleet, MobilityConfig, _check_count
 from .routing import (
     PathWeight,
     SessionOutcome,
@@ -134,14 +134,11 @@ class ExperimentConfig:
     seed: int = 0
     max_hops: int = 0  # 0: four times the node count
     dijkstra_weight: PathWeight = PathWeight.DISTANCE
-    refresh_destination: bool = True
     workers: int = 1
 
     def __post_init__(self) -> None:
         for name in ("runs", "sessions_per_run", "seed", "max_hops", "workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _check_count(name, getattr(self, name))
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs!r}")
         if self.sessions_per_run < 1:
@@ -369,7 +366,6 @@ def _route_session(
             dest,
             predictive=alg is Algorithm.GREEDY_PREDICTIVE,
             max_hops=trace.n_steps,
-            refresh_destination=cfg.refresh_destination,
         )
     snap0 = cursor.snapshot()
     path = route_dijkstra(snap0, source, dest, cfg.dijkstra_weight)

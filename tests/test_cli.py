@@ -1,12 +1,17 @@
+import configparser
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from fanetsim.analysis import NetworkParams, bounds_report, min_range_for_isolation
+from fanetsim import cli
 from fanetsim.cli import ConfigError, build_experiment_config, load_config, main, parse_length
 from fanetsim.simharness import (
     FIGURES,
@@ -84,6 +89,32 @@ class TestConfigLoading:
         ini = tmp_path / "readme.ini"
         ini.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
         assert build_experiment_config(load_config(str(ini))) == ExperimentConfig()
+        # the example lists every key, and no other, in its own section
+        listed = configparser.ConfigParser(interpolation=None)
+        listed.read(ini, encoding="utf-8")
+        assert {s: set(listed[s]) for s in listed.sections()} == {
+            s: set(keys) for s, keys in cli._SECTIONS.items()
+        }
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("mobility.prediction_horizon", "1"), ("experiment.refresh_destination", "true")],
+    )
+    def test_retired_keys_exit_2(self, tmp_path, capsys, key, value):
+        # predictions always look one time step ahead, and greedy always
+        # scores against the destination in the snapshot it decides on
+        section, option = key.split(".")
+        ini = tmp_path / "retired.ini"
+        ini.write_text(f"[{section}]\n{option} = {value}\n")
+        for argv, where in (
+            (["--set", f"{key}={value}"], ""),
+            (["--config", str(ini)], f" in {ini}"),
+        ):
+            code = main(["route", *argv])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert f"config error: unknown config key {key!r}{where}" in captured.err
+            assert captured.out == ""
 
     @pytest.mark.parametrize("key", ALL_KEYS)
     def test_bad_value_names_its_key(self, key):
@@ -342,7 +373,6 @@ class TestFigureCommands:
             ("mobility.mean_speed=nan", "mean_speed must be finite"),
             ("mobility.mean_wait=inf", "mean_wait must be finite"),
             ("mobility.prediction_noise_var=nan", "prediction_noise_var must be finite"),
-            ("mobility.prediction_horizon=-1", "prediction_horizon must be >= 0"),
         ],
     )
     def test_non_finite_mobility_exits_2(self, tmp_path, capsys, override, message):
@@ -423,6 +453,24 @@ class TestTraceCommand:
         code = main(["trace", "--seed", "2", "--n", "2", "--steps", "1"])
         assert code == 0
         assert capsys.readouterr().out.startswith("t,node_id,x,y,mode")
+
+    def test_closed_pipe_stops_quietly(self):
+        # `fanetsim trace --n 50 --steps 2000 | head -1`: 100,050 rows
+        # outgrow the pipe's buffer, so writing after the reader closes fails
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fanetsim.cli", "trace", "--n", "50",
+             "--steps", "2000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.stdout.readline() == b"t,node_id,x,y,mode\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
 
     def test_speed_too_fast_for_the_square_exits_2(self, capsys):
         # 1e10 m/s crosses a million sides per step: the fold crawled for

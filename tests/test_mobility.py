@@ -62,13 +62,10 @@ class TestConfig:
             ("transition_prob", math.nan),
             ("time_step", math.nan),
             ("prediction_noise_var", math.nan),
-            ("prediction_horizon", math.nan),
-            ("prediction_horizon", math.inf),
-            ("prediction_horizon", -1.0),
             ("mean_turn_radius", math.inf),
         ],
     )
-    def test_non_finite_and_negative_horizon_rejected(self, field, value):
+    def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             MobilityConfig(**{field: value})
 
@@ -83,10 +80,6 @@ class TestConfig:
         ):
             with pytest.raises(ValueError, match=r"mean_speed \* time_step"):
                 MobilityConfig(**kw)
-
-    def test_horizon_defaults_to_time_step(self):
-        assert MobilityConfig(time_step=2.5).horizon == 2.5
-        assert MobilityConfig(time_step=2.5, prediction_horizon=0.0).horizon == 0.0
 
 
 class TestDeployment:
@@ -302,14 +295,11 @@ _STATE = (
 
 
 class TestPredictionKeepsTrajectory:
-    """A one-step prediction hands its displacement to the next advance;
+    """A prediction hands its displacement to the next advance;
     predicting never changes where the fleet goes."""
 
-    @pytest.mark.parametrize("horizon", [None, 1.0, 0.5, 0.0])  # x time_step
     @pytest.mark.parametrize("mean_speed", [50.0, 400.0])
-    def test_prediction_never_moves_the_trajectory(
-        self, monkeypatch, horizon, mean_speed
-    ):
+    def test_prediction_never_moves_the_trajectory(self, monkeypatch, mean_speed):
         folds = []
         original = mobility._fold_all
 
@@ -319,13 +309,8 @@ class TestPredictionKeepsTrajectory:
             return out
 
         monkeypatch.setattr(mobility, "_fold_all", counted)
-        time_step = 5.0
         cfg = MobilityConfig(
-            area_side=1_000.0,
-            mean_speed=mean_speed,
-            mean_wait=8.0,
-            time_step=time_step,
-            prediction_horizon=None if horizon is None else horizon * time_step,
+            area_side=1_000.0, mean_speed=mean_speed, mean_wait=8.0, time_step=5.0
         )
         # one fleet predicts before every step, one before some steps
         # (twice before a few), and one never
@@ -348,12 +333,7 @@ class TestPredictionKeepsTrajectory:
         assert any(folds)  # some node reflected off a wall
         assert None not in plain._motion_rngs  # every node renewed
 
-    @pytest.mark.parametrize(
-        "horizon, calls",
-        [(None, lambda k: k + 1), (1.0, lambda k: k + 1),
-         (0.5, lambda k: 2 * k + 1), (0.0, lambda k: k)],
-    )
-    def test_trace_displaces_once_per_step(self, monkeypatch, horizon, calls):
+    def test_trace_displaces_once_per_step(self, monkeypatch):
         displaced = []
         original = Fleet._displace
 
@@ -362,15 +342,10 @@ class TestPredictionKeepsTrajectory:
             return original(fleet, dt)
 
         monkeypatch.setattr(Fleet, "_displace", counted)
-        time_step = 30.0
-        cfg = MobilityConfig(
-            time_step=time_step,
-            prediction_horizon=None if horizon is None else horizon * time_step,
-        )
-        trace = record_trace(Fleet(cfg, 10, 0), 5_000.0, 40)
+        trace = record_trace(Fleet(MobilityConfig(time_step=30.0), 10, 0), 5_000.0, 40)
         for k in range(12):
             trace.snapshot(k)
-            assert len(displaced) == calls(k)
+            assert len(displaced) == k + 1
 
 
 @pytest.mark.parametrize("n", [True, 3.0, 2.5, "3", None])
@@ -406,7 +381,7 @@ def _reference_run(cfg, n, seed, n_steps, order):
                 states[i] = step(states[i], cfg, motion[i])
         predicted = {
             i: predict_position(
-                states[i], cfg.horizon, cfg.prediction_noise_var, noise[i]
+                states[i], cfg.time_step, cfg.prediction_noise_var, noise[i]
             )
             for i in order
         }
@@ -456,18 +431,17 @@ class TestFleetMatchesReference:
         time_step=st.sampled_from([0.5, 1.0, 5.0]),
         transition_prob=st.sampled_from([0.0, 0.2, 1.0]),
         prediction_noise_var=st.sampled_from([0.0, 10.0]),
-        prediction_horizon=st.sampled_from([None, 0.0, 7.0]),
     )
     # 300 m/s for 5 s on a 50 m square: dozens of wall reflections per step
     @example(
         seed=3, n_order=(6, [5, 0, 3, 1, 4, 2]), n_steps=40, area_side=50.0,
         mean_speed=300.0, mean_turn_radius=500.0, mean_wait=0.5, time_step=5.0,
-        transition_prob=1.0, prediction_noise_var=10.0, prediction_horizon=None,
+        transition_prob=1.0, prediction_noise_var=10.0,
     )
     @example(
         seed=0, n_order=(2, [1, 0]), n_steps=10, area_side=400.0,
         mean_speed=0.0, mean_turn_radius=5.0, mean_wait=0.5, time_step=1.0,
-        transition_prob=0.0, prediction_noise_var=0.0, prediction_horizon=0.0,
+        transition_prob=0.0, prediction_noise_var=0.0,
     )
     def test_fleet_equals_per_node_reference(self, seed, n_order, n_steps, **kw):
         n, order = n_order

@@ -71,13 +71,6 @@ class TestGreedyNextHop:
                 pos, r, cur, dest
             )
 
-    def test_destination_override(self):
-        snap = snap_from([(0, 0), (3_000, 0), (0, 3_000), (10_000, 10_000)])
-        # with the destination's location believed to be on the x axis,
-        # node 1 looks best even though node 3 actually sits elsewhere
-        believed = np.array([10_000.0, 0.0])
-        assert greedy_next_hop(snap, 0, 3, dest_pos=believed) == 1
-
     def test_destination_out_of_range_raises(self):
         snap = snap_from([(0, 0), (3_000, 0), (6_000, 0)])
         for dest in (-1, 3, 99):
@@ -115,29 +108,6 @@ class TestGreedyTies:
         else:
             expected = brute_greedy_next_hop(pos, r, cur, dest)
         assert greedy_next_hop(snap, cur, dest) == expected
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        pts=st.lists(_GRID_POINT, min_size=3, max_size=14),
-        target=_GRID_POINT,
-        r=st.sampled_from(_GRID_RANGES),
-        data=st.data(),
-    )
-    def test_destination_override_matches_brute_force(self, pts, target, r, data):
-        pos = np.array(pts)
-        n = len(pos)
-        cur = data.draw(st.integers(0, n - 1))
-        dest = data.draw(st.integers(0, n - 1).filter(lambda d: d != cur))
-        p = np.array(target)
-        assume(math.hypot(*(pos[cur] - pos[dest])) > r)
-        assume(math.hypot(*(pos[cur] - p)) > r)
-        # the believed location as an extra, out-of-range node
-        expected = brute_greedy_next_hop(np.vstack([pos, p]), r, cur, n)
-        snap = snap_from(pos, comm_range=r)
-        for dest_pos in (p, p.tolist()):
-            assert greedy_next_hop(snap, cur, dest, dest_pos=dest_pos) == expected
-        own = greedy_next_hop(snap, cur, dest, dest_pos=pos[dest])
-        assert own == greedy_next_hop(snap, cur, dest)
 
 
 class TestRouteGreedy:
@@ -229,25 +199,6 @@ class TestRouteGreedy:
         out = route_greedy(trace.cursor(), 0, 3, max_hops=2)
         assert out.status is SessionStatus.HOP_CAP
         assert out.hop_count == 2
-
-    def test_stale_destination_location_can_mislead(self):
-        # with the destination location never refreshed, the packet chases
-        # the position stamped at session start
-        rng = np.random.default_rng(22)
-        differs = 0
-        for seed in range(40):
-            fleet = Fleet(MobilityConfig(mean_speed=300.0, time_step=30.0), 10, seed)
-            trace = record_trace(fleet, R, 40)
-            refreshed = route_greedy(
-                trace.cursor(), 0, 9, predictive=True, max_hops=40,
-                refresh_destination=True,
-            )
-            frozen = route_greedy(
-                trace.cursor(), 0, 9, predictive=True, max_hops=40,
-                refresh_destination=False,
-            )
-            differs += refreshed != frozen
-        assert differs > 0
 
 
 class TestRouteDijkstra:

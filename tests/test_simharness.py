@@ -75,7 +75,7 @@ class TestConfigValidation:
             ("n_nodes", math.inf, "an integer"),
             ("n_nodes", "10", "a number"),
             # None used to escape from float() as a TypeError
-            ("prediction_horizon", None, "a number"),
+            ("mean_speed", None, "a number"),
             ("mean_speed", True, "a number"),
         ],
     )

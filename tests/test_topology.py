@@ -436,13 +436,10 @@ class TestTrace:
         with pytest.raises(IndexError):
             lazy.snapshot(-1)
 
-    @pytest.mark.parametrize("horizon", [None, 0.0])
-    def test_recorded_snapshot_keeps_its_positions(self, horizon):
+    def test_recorded_snapshot_keeps_its_positions(self):
         # renewals write into the fleet's arrays in place; a snapshot must
-        # hold copies, including zero-horizon, noise-free predictions
-        cfg = MobilityConfig(
-            mean_wait=0.5, prediction_noise_var=0.0, prediction_horizon=horizon
-        )
+        # hold copies, including noise-free predictions
+        cfg = MobilityConfig(mean_wait=0.5, prediction_noise_var=0.0)
         fleet = Fleet(cfg, 12, 7)
         snap = ContactSnapshot.of_fleet(fleet, 1_000.0)
         true, predicted = snap.true_positions.copy(), snap.predicted_positions.copy()
