@@ -1,4 +1,5 @@
 import configparser
+import io
 import json
 import math
 import os
@@ -373,6 +374,10 @@ class TestFigureCommands:
             ("mobility.mean_speed=nan", "mean_speed must be finite"),
             ("mobility.mean_wait=inf", "mean_wait must be finite"),
             ("mobility.prediction_noise_var=nan", "prediction_noise_var must be finite"),
+            ("mobility.mean_speed=inf", "mean_speed must be finite"),
+            ("mobility.time_step=inf", "time_step must be finite"),
+            ("mobility.transition_prob=nan", "transition_prob must be finite"),
+            ("mobility.mean_turn_radius=inf", "mean_turn_radius must be finite"),
         ],
     )
     def test_non_finite_mobility_exits_2(self, tmp_path, capsys, override, message):
@@ -471,6 +476,43 @@ class TestTraceCommand:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 141
         assert err == b""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "--seed", "2", "--n", "2", "--steps", "1"],
+            ["route", "--seed", "3", "--n", "20"],
+            ["bounds", "--n", "100", "--l", "10km", "--r", "2km", "--d", "6km"],
+            ["fig4", "--runs", "1", "--seed", "1",
+             "--set", "experiment.sessions_per_run=2"],
+        ],
+        ids=["trace", "route", "bounds", "fig4"],
+    )
+    def test_every_command_stops_quietly_on_a_closed_pipe(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        class ClosedPipe(io.TextIOBase):
+            def fileno(self):
+                return fd
+
+            def writable(self):
+                return True
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setenv("FANETSIM_OUTDIR", str(tmp_path))
+        sink = tmp_path / "stdout"
+        fd = os.open(sink, os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            assert main(argv) == 141
+            # later writes to the closed stdout go to devnull
+            os.write(fd, b"late")
+        finally:
+            os.close(fd)
+        assert capsys.readouterr().err == ""
+        assert sink.read_bytes() == b""
 
     def test_speed_too_fast_for_the_square_exits_2(self, capsys):
         # 1e10 m/s crosses a million sides per step: the fold crawled for

@@ -239,6 +239,25 @@ class TestFleet:
             fleet.advance()
         assert np.array_equal(fleet.true_positions(), fleet.predicted_positions())
 
+    @pytest.mark.parametrize("mean_speed", [50.0, 300.0])
+    @pytest.mark.parametrize("time_step", [0.5, 5.0, 30.0])
+    def test_noise_free_prediction_is_the_next_position(self, time_step, mean_speed):
+        # a prediction looks one time step ahead: where no wall reflects a
+        # node, the next advance lands exactly on its noise-free prediction
+        cfg = MobilityConfig(
+            mean_speed=mean_speed, mean_wait=5.0, time_step=time_step,
+            prediction_noise_var=0.0,
+        )
+        fleet = Fleet(cfg, 40, 3)
+        compared = 0
+        for _ in range(20):
+            predicted = fleet.predicted_positions()
+            fleet.advance()
+            inside = ((predicted >= 0.0) & (predicted <= cfg.area_side)).all(axis=1)
+            assert np.array_equal(fleet.true_positions()[inside], predicted[inside])
+            compared += int(inside.sum())
+        assert compared > 400  # of 800 node-steps, most land inside
+
 
 class TestNoiseBlocks:
     """Noise is drawn several predictions ahead, as the same stream values."""
@@ -298,8 +317,11 @@ class TestPredictionKeepsTrajectory:
     """A prediction hands its displacement to the next advance;
     predicting never changes where the fleet goes."""
 
+    @pytest.mark.parametrize("noise_var", [0.0, 10.0])
     @pytest.mark.parametrize("mean_speed", [50.0, 400.0])
-    def test_prediction_never_moves_the_trajectory(self, monkeypatch, mean_speed):
+    def test_prediction_never_moves_the_trajectory(
+        self, monkeypatch, mean_speed, noise_var
+    ):
         folds = []
         original = mobility._fold_all
 
@@ -310,7 +332,8 @@ class TestPredictionKeepsTrajectory:
 
         monkeypatch.setattr(mobility, "_fold_all", counted)
         cfg = MobilityConfig(
-            area_side=1_000.0, mean_speed=mean_speed, mean_wait=8.0, time_step=5.0
+            area_side=1_000.0, mean_speed=mean_speed, mean_wait=8.0, time_step=5.0,
+            prediction_noise_var=noise_var,
         )
         # one fleet predicts before every step, one before some steps
         # (twice before a few), and one never
@@ -333,7 +356,8 @@ class TestPredictionKeepsTrajectory:
         assert any(folds)  # some node reflected off a wall
         assert None not in plain._motion_rngs  # every node renewed
 
-    def test_trace_displaces_once_per_step(self, monkeypatch):
+    @pytest.mark.parametrize("noise_var", [0.0, 10.0])
+    def test_trace_displaces_once_per_step(self, monkeypatch, noise_var):
         displaced = []
         original = Fleet._displace
 
@@ -342,7 +366,8 @@ class TestPredictionKeepsTrajectory:
             return original(fleet, dt)
 
         monkeypatch.setattr(Fleet, "_displace", counted)
-        trace = record_trace(Fleet(MobilityConfig(time_step=30.0), 10, 0), 5_000.0, 40)
+        cfg = MobilityConfig(time_step=30.0, prediction_noise_var=noise_var)
+        trace = record_trace(Fleet(cfg, 10, 0), 5_000.0, 40)
         for k in range(12):
             trace.snapshot(k)
             assert len(displaced) == k + 1

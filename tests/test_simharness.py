@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fanetsim import analysis, simharness
 from fanetsim.analysis import NetworkParams, bounds_report, hop_bounds
 from fanetsim.mobility import Fleet, MobilityConfig
-from fanetsim.routing import PathWeight, SessionStatus, route_greedy
+from fanetsim.routing import PathWeight, SessionStatus, greedy_next_hop, route_greedy
 from fanetsim.simharness import (
     FIGURES,
     Algorithm,
@@ -24,6 +24,10 @@ from fanetsim.simharness import (
 )
 
 STATIC_MOBILITY = MobilityConfig(mean_speed=0.0, prediction_noise_var=0.0)
+
+
+def static_trace():
+    return record_trace(Fleet(STATIC_MOBILITY, 4, 0), 1_000.0, 3)
 
 
 def small_config(**overrides):
@@ -84,6 +88,27 @@ class TestConfigValidation:
         message = re.escape(f"{name} sweep value {value!r} is not {kind}")
         with pytest.raises(ConfigError, match=message):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: MobilityConfig(prediction_horizon=1.0),
+            lambda: ExperimentConfig(refresh_destination=False),
+            lambda: greedy_next_hop(
+                static_trace().snapshot(0), 0, 1, dest_pos=(0.0, 0.0)
+            ),
+            lambda: route_greedy(
+                static_trace().cursor(), 0, 1, max_hops=3, refresh_destination=False
+            ),
+        ],
+        ids=["prediction_horizon", "refresh_destination", "dest_pos",
+             "route_refresh_destination"],
+    )
+    def test_retired_knobs_rejected(self, call):
+        # predictions look one time step ahead, and greedy scores against
+        # the destination in the snapshot it decides on; neither is a knob
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            call()
 
     def test_integral_float_node_count_accepted(self):
         cfg = small_config(sweep=SweepSpec("n_nodes", (8.0,)), runs=1)

@@ -436,10 +436,11 @@ class TestTrace:
         with pytest.raises(IndexError):
             lazy.snapshot(-1)
 
-    def test_recorded_snapshot_keeps_its_positions(self):
+    @pytest.mark.parametrize("noise_var", [0.0, 10.0])
+    def test_recorded_snapshot_keeps_its_positions(self, noise_var):
         # renewals write into the fleet's arrays in place; a snapshot must
-        # hold copies, including noise-free predictions
-        cfg = MobilityConfig(mean_wait=0.5, prediction_noise_var=0.0)
+        # hold copies, of noise-free predictions as of noisy ones
+        cfg = MobilityConfig(mean_wait=0.5, prediction_noise_var=noise_var)
         fleet = Fleet(cfg, 12, 7)
         snap = ContactSnapshot.of_fleet(fleet, 1_000.0)
         true, predicted = snap.true_positions.copy(), snap.predicted_positions.copy()
