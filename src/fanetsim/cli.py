@@ -6,8 +6,10 @@ corridor table for one parameter set, ``route`` traces a single seeded
 session hop by hop, and ``trace`` dumps mobility trajectories as CSV.
 
 Configuration is a flat INI file whose keys and defaults are the fields of
-the config dataclasses (``_sections``); every key can be overridden on the
-command line via ``--set section.key=value``.
+the config dataclasses (``_SECTIONS``); every key can be overridden on the
+command line via ``--set section.key=value``.  A command's config is its
+reference (``ExperimentConfig()``, or a figure's entry in ``FIGURES``) with
+the values set in the file and by ``--set`` replaced.
 Lengths accept a ``km`` or ``m`` suffix and are stored in meters.
 """
 
@@ -18,21 +20,21 @@ import configparser
 import csv
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import NetworkParams, bounds_report, min_range_for_isolation
-from .mobility import Fleet, MobilityConfig, trajectory_rows
+from .mobility import Fleet, trajectory_rows
 from .simharness import (
     FIGURES,
     Algorithm,
     ConfigError,
     ExperimentConfig,
     record_trace,
-    _figure_dataset,
+    run_experiment,
     _route_session,
 )
 
@@ -70,32 +72,24 @@ def _scalar_fields(obj, skip: str = "") -> dict:
     }
 
 
-def _sections(cfg: ExperimentConfig) -> dict:
-    """INI section -> key -> default, read off ``ExperimentConfig()`` or a
-    figure's reference.  mobility.area_side is no key: it is net.area_side."""
-    return {
-        "net": _scalar_fields(cfg.net),
-        "mobility": _scalar_fields(cfg.mobility, skip="area_side"),
-        "experiment": _scalar_fields(cfg),
-    }
-
-
-_SECTIONS = _sections(ExperimentConfig())  # the INI keys and their types
-
-
-def _format(default) -> str:
-    return default.value if isinstance(default, Enum) else str(default)
+# INI section -> key -> default, read off ``ExperimentConfig()``; a value
+# parses as its default's type.  mobility.area_side is no key: it is
+# net.area_side.
+_SECTIONS = {
+    "net": _scalar_fields(ExperimentConfig().net),
+    "mobility": _scalar_fields(ExperimentConfig().mobility, skip="area_side"),
+    "experiment": _scalar_fields(ExperimentConfig()),
+}
 
 
 def load_config(
-    path: str | None,
-    overrides: list[str] | None = None,
-    reference: ExperimentConfig = ExperimentConfig(),
-) -> configparser.ConfigParser:
-    """``reference``'s values, then the INI file (if any), then overrides."""
+    path: str | None, overrides: list[str] | None = None
+) -> dict[str, dict[str, str]]:
+    """The values set in the INI file (if any), then by the overrides, as
+    section -> key -> text.  Keys are case-insensitive, sections are not."""
     cp = configparser.ConfigParser(interpolation=None)
-    for section, keys in _sections(reference).items():
-        cp[section] = {key: _format(v) for key, v in keys.items()}
+    for section in _SECTIONS:  # then a [DEFAULT] key is an unknown net key
+        cp.add_section(section)
     if path:
         if not Path(path).is_file():
             raise ConfigError(f"config file not found: {path}")
@@ -119,15 +113,15 @@ def load_config(
         if "." not in key:
             raise ConfigError(f"override key must be section.key: {key!r}")
         section, option = key.split(".", 1)
-        if option not in _SECTIONS.get(section, ()):
+        if option.lower() not in _SECTIONS.get(section, ()):
             raise ConfigError(f"unknown config key {key!r}")
-        cp[section][option] = value
-    return cp
+        cp[section][option] = value  # the parser lowercases the key
+    return {section: dict(cp[section]) for section in _SECTIONS}
 
 
-def _parse(cp: configparser.ConfigParser, section: str, key: str, default):
+def _parse(section: str, key: str, raw: str):
     """One INI value, parsed as its default's type."""
-    raw = cp[section][key]
+    default = _SECTIONS[section][key]
     try:
         if isinstance(default, int):
             return int(raw)
@@ -140,30 +134,33 @@ def _parse(cp: configparser.ConfigParser, section: str, key: str, default):
         raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
 
 
-def build_experiment_config(cp: configparser.ConfigParser) -> ExperimentConfig:
-    values = {
-        section: {key: _parse(cp, section, key, d) for key, d in keys.items()}
-        for section, keys in _SECTIONS.items()
+def build_experiment_config(
+    values: dict[str, dict[str, str]],
+    reference: ExperimentConfig = ExperimentConfig(),
+) -> ExperimentConfig:
+    """``reference`` with the ``load_config`` values parsed and set."""
+    parsed = {
+        section: {key: _parse(section, key, raw) for key, raw in keys.items()}
+        for section, keys in values.items()
     }
     try:
-        net = NetworkParams(**values["net"])
-        mobility = MobilityConfig(area_side=net.area_side, **values["mobility"])
-        return ExperimentConfig(net=net, mobility=mobility, **values["experiment"])
+        net = replace(reference.net, **parsed["net"])
+        mobility = replace(
+            reference.mobility, area_side=net.area_side, **parsed["mobility"]
+        )
+        return replace(reference, net=net, mobility=mobility, **parsed["experiment"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _reject_fixed_keys(name: str, path: str | None, overrides: list[str]) -> None:
-    """A figure ignores any value of the keys it fixes, so setting one is an error."""
+def _reject_fixed_keys(name: str, values: dict[str, dict[str, str]]) -> None:
+    """A figure fixes its sweep and Dijkstra weight, so setting either is an error."""
     swept = FIGURES[name].sweep.name
-    section = next(s for s, keys in _SECTIONS.items() if swept in keys)
-    in_file = configparser.ConfigParser(interpolation=None)
-    in_file.read(path or [], encoding="utf-8")  # load_config has checked it
-    set_keys = {item.split("=", 1)[0] for item in overrides}
-    for key, verb in ((f"{section}.{swept}", "sweeps"),
-                      ("experiment.dijkstra_weight", "fixes")):
-        if key in set_keys or in_file.has_option(*key.split(".")):
-            raise ConfigError(f"{key} cannot be set: {name} {verb} it")
+    swept_in = next(s for s, keys in _SECTIONS.items() if swept in keys)
+    for section, key, verb in ((swept_in, swept, "sweeps"),
+                               ("experiment", "dijkstra_weight", "fixes")):
+        if key in values[section]:
+            raise ConfigError(f"{section}.{key} cannot be set: {name} {verb} it")
 
 
 def _output_dir(args) -> Path:
@@ -181,9 +178,9 @@ def _cmd_figure(name: str, args) -> int:
         overrides.append(f"experiment.seed={args.seed}")
     if args.workers is not None:
         overrides.append(f"experiment.workers={args.workers}")
-    cp = load_config(args.config, overrides, FIGURES[name])
-    _reject_fixed_keys(name, args.config, args.set or [])
-    result = _figure_dataset(FIGURES[name], build_experiment_config(cp))
+    values = load_config(args.config, overrides)
+    _reject_fixed_keys(name, values)
+    result = run_experiment(build_experiment_config(values, FIGURES[name]))
     out_dir = _output_dir(args)
     csv_path = out_dir / f"{name}.csv"
     result.write_csv(csv_path)
@@ -364,10 +361,6 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary, no tracebacks
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def entry_point() -> None:
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

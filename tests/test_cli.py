@@ -1,3 +1,4 @@
+import argparse
 import configparser
 import io
 import json
@@ -22,8 +23,7 @@ from fanetsim.simharness import (
     figure6_dataset,
 )
 
-_DEFAULT_CP = load_config(None)
-ALL_KEYS = [f"{s}.{k}" for s in _DEFAULT_CP.sections() for k in _DEFAULT_CP[s]]
+ALL_KEYS = [f"{s}.{k}" for s, keys in cli._SECTIONS.items() for k in keys]
 
 
 class TestParseLength:
@@ -63,6 +63,33 @@ class TestConfigLoading:
         assert cfg.net.n_nodes == 20
         assert cfg.runs == 9
         assert cfg.net.comm_range == 4_000.0
+
+    def test_only_set_values_are_loaded(self, tmp_path):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[net]\nn_nodes = 20\n")
+        assert load_config(None) == {"net": {}, "mobility": {}, "experiment": {}}
+        assert load_config(str(ini), ["experiment.runs=9"]) == {
+            "net": {"n_nodes": "20"}, "mobility": {}, "experiment": {"runs": "9"}
+        }
+
+    def test_keys_are_case_insensitive_sections_are_not(self, tmp_path, capsys):
+        # the file's parser lowercases keys, and --set reads them the same way
+        ini = tmp_path / "upper.ini"
+        ini.write_text("[net]\nN_NODES = 12\n")
+        from_file = build_experiment_config(load_config(str(ini)))
+        from_set = build_experiment_config(load_config(None, ["net.N_NODES=12"]))
+        assert from_file == from_set == replace(
+            ExperimentConfig(), net=replace(ExperimentConfig().net, n_nodes=12)
+        )
+        assert main(["route", "--set", "net.N_NODES=12"]) == 0
+        capsys.readouterr()
+        ini.write_text("[NET]\nn_nodes = 12\n")
+        for argv, err in (
+            (["--set", "NET.n_nodes=12"], "unknown config key 'NET.n_nodes'"),
+            (["--config", str(ini)], f"unknown config section 'NET' in {ini}"),
+        ):
+            assert main(["route", *argv]) == 2
+            assert f"config error: {err}" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -166,6 +193,13 @@ class TestConfigLoading:
         assert code == 2
         assert f"config error: unknown config {key} in {ini}" in capsys.readouterr().err
         assert not (tmp_path / "fig3.csv").exists()
+
+
+def test_subcommands_are_the_figures_and_three_tools():
+    # main sends every command that is no figure, bounds or route to trace
+    parser = cli.build_arg_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {*FIGURES, "bounds", "route", "trace"}
 
 
 class TestBoundsCommand:
@@ -328,6 +362,19 @@ class TestFigureCommands:
                 capsys.readouterr().err
             )
             assert not (tmp_path / f"{sub}.csv").exists()
+
+    @pytest.mark.parametrize("sub", ["fig3", "fig4", "fig5", "fig6"])
+    def test_config_is_the_reference_with_the_set_values(self, sub):
+        values = load_config(None, ["experiment.runs=3", "mobility.time_step=12"])
+        assert values == {
+            "net": {}, "mobility": {"time_step": "12"}, "experiment": {"runs": "3"}
+        }
+        ref = FIGURES[sub]
+        cfg = build_experiment_config(values, ref)
+        assert cfg == replace(ref, runs=3, mobility=replace(ref.mobility, time_step=12.0))
+        assert (cfg.sweep, cfg.algorithms, cfg.dijkstra_weight) == (
+            ref.sweep, ref.algorithms, ref.dijkstra_weight
+        )
 
     @pytest.mark.parametrize("sub", ["fig3", "fig4", "fig5", "fig6"])
     def test_dijkstra_weight_exits_2(self, tmp_path, capsys, sub):

@@ -1,7 +1,7 @@
-import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +9,20 @@ from pathlib import Path
 import pytest
 
 import fanetsim
+from fanetsim import cli
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(fanetsim.__path__))
+
+
+def _fresh_interpreter(code: str) -> int:
+    """The exit status of ``code`` run in a new interpreter on this source tree."""
+    src = str(Path(fanetsim.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    return proc.returncode
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -20,27 +32,27 @@ def test_module_all_resolves(module):
     assert missing == []
 
 
-def test_package_reexports_resolve():
-    tree = ast.parse(Path(fanetsim.__file__).read_text())
-    missing = [
-        f"{node.module}.{alias.name}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-        if not hasattr(importlib.import_module(f"fanetsim.{node.module}"), alias.name)
-        or not hasattr(fanetsim, alias.asname or alias.name)
-    ]
-    assert missing == []
-
-
 def test_cli_import_leaves_numpy_random_unloaded():
     # numpy.random adds import time and resident memory to every command;
     # mobility builds its seeding helpers on first use instead
-    src = str(Path(fanetsim.__file__).parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = "import sys, fanetsim.cli; sys.exit('numpy.random' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-        timeout=60,
+    assert _fresh_interpreter(code) == 0
+
+
+def test_bounds_modules_leave_numpy_unloaded():
+    # the package re-exports nothing, so the closed-form bounds load
+    # neither numpy nor the simulator
+    code = (
+        "import sys, fanetsim.analysis, fanetsim.geometry; "
+        "sys.exit('numpy' in sys.modules or 'fanetsim.simharness' in sys.modules)"
     )
-    assert proc.returncode == 0
+    assert _fresh_interpreter(code) == 0
+
+
+def test_console_script_is_cli_main():
+    # a console-script launcher passes main's return value to sys.exit
+    pyproject = Path(fanetsim.__file__).parents[2] / "pyproject.toml"
+    scripts = pyproject.read_text().split("[project.scripts]\n", 1)[1]
+    target = re.match(r'fanetsim = "(.+)"\n', scripts).group(1)
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main
