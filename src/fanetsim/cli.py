@@ -11,6 +11,8 @@ command line via ``--set section.key=value``.  A command's config is its
 reference (``ExperimentConfig()``, or a figure's entry in ``FIGURES``) with
 the values set in the file and by ``--set`` replaced.
 Lengths accept a ``km`` or ``m`` suffix and are stored in meters.
+
+Importing this module loads no numpy: only ``route``, ``trace`` and the figures do.
 """
 
 from __future__ import annotations
@@ -24,10 +26,7 @@ from dataclasses import fields, replace
 from enum import Enum
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import NetworkParams, bounds_report, min_range_for_isolation
-from .mobility import Fleet, trajectory_rows
 from .simharness import (
     FIGURES,
     Algorithm,
@@ -229,6 +228,8 @@ def _session_config(args) -> ExperimentConfig:
 
 
 def _cmd_route(args) -> int:
+    import numpy as np
+    from .mobility import Fleet
     cfg = _session_config(args)
 
     fleet = Fleet(cfg.mobility, cfg.net.n_nodes, cfg.seed)
@@ -258,6 +259,7 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from .mobility import trajectory_rows
     cfg = _session_config(args)
     try:
         rows = trajectory_rows(cfg.mobility, cfg.net.n_nodes, cfg.seed, args.steps)

@@ -49,9 +49,10 @@ from __future__ import annotations
 import heapq
 import math
 from enum import Enum
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .topology import ContactSnapshot
+if TYPE_CHECKING:
+    from .topology import ContactSnapshot
 
 __all__ = [
     "HopRecord",

@@ -36,25 +36,27 @@ Metric conventions per cell and algorithm:
   number of delivered packets, i.e. transmit energy per delivered packet
   with the energy wasted on failed attempts amortized in, matching the
   re-initiation semantics of a failed journey.
+
+Importing this module loads no numpy: ``_run_one`` and ``record_trace``
+import numpy, ``Fleet`` and the topology classes once per run, and
+``run_experiment`` imports ``multiprocessing`` only to open a pool.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .analysis import NetworkParams, bounds_report
 # Module attributes that perfbench/tracing.py wraps by name; they are not
 # called here since the corridors come from bounds_report.
 from .analysis import expected_total_distance, hop_bounds, success_probability  # noqa: F401
-from .mobility import Fleet, MobilityConfig, _check_count
+from .mobility_config import MobilityConfig, _check_count
 from .routing import (
     PathWeight,
     SessionOutcome,
@@ -63,7 +65,11 @@ from .routing import (
     route_dijkstra,
     route_greedy,
 )
-from .topology import ContactSnapshot, NetworkTrace
+
+if TYPE_CHECKING:
+    import numpy as np
+    from .mobility import Fleet
+    from .topology import NetworkTrace
 
 __all__ = [
     "Algorithm",
@@ -275,6 +281,7 @@ def _fmt(v) -> str:
 def record_trace(fleet: Fleet, comm_range: float, n_steps: int) -> NetworkTrace:
     """Trace of n_steps steps from the fleet's current state.  The trace
     owns the fleet and steps it only when a cursor first reads a step."""
+    from .topology import ContactSnapshot, NetworkTrace
     return NetworkTrace(
         (ContactSnapshot.of_fleet(fleet, comm_range),), fleet, n_steps
     )
@@ -391,6 +398,8 @@ def _run_one(
     are ``net`` and ``mobility``: start a trace and route every session
     with every algorithm.  Returns the sessions' summed session-start
     separation, their count, and each algorithm's tallies."""
+    import numpy as np
+    from .mobility import Fleet
     entropy = (cfg.seed, sweep_idx, run_idx)
 
     fleet = Fleet(mobility, net.n_nodes, entropy)
@@ -414,6 +423,7 @@ def _run_one(
 def _mean_stderr(values: list[float]) -> tuple[float, float]:
     if not values:
         return math.nan, math.nan
+    import numpy as np
     a = np.array(values)
     mean = float(a.mean())
     if len(a) < 2:
@@ -442,8 +452,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         for si, (net, mobility) in enumerate(cells)
         for ri in range(cfg.runs)
     ]
-    processes = min(cfg.workers, len(tasks), len(os.sched_getaffinity(0)))
+    processes = min(cfg.workers, len(tasks))
+    if processes > 1:  # the usable CPU set is known on Linux only
+        cpu_set = getattr(os, "sched_getaffinity", None)
+        processes = min(processes, len(cpu_set(0)) if cpu_set else os.cpu_count() or 1)
     if processes > 1:
+        import multiprocessing
         with multiprocessing.Pool(processes) as pool:
             results = pool.starmap(_run_one, tasks, chunksize=1)
     else:

@@ -20,7 +20,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from fanetsim.mobility import MobilityConfig, MobilityMode
+from fanetsim.mobility import MobilityMode
+from fanetsim.mobility_config import MobilityConfig
 
 
 def mc_lens_area(

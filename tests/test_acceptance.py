@@ -20,7 +20,7 @@ from fanetsim.analysis import (
 )
 from fanetsim.cli import main as cli_main
 from fanetsim.geometry import LensParams, ProgressDistribution, expected_progress, lens_area
-from fanetsim.mobility import MobilityConfig
+from fanetsim.mobility_config import MobilityConfig
 from fanetsim.routing import PathWeight, greedy_next_hop, route_dijkstra
 from fanetsim.simharness import (
     Algorithm,

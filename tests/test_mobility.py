@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fanetsim import mobility
-from fanetsim.mobility import Fleet, MobilityConfig, MobilityMode, trajectory_rows
+from fanetsim.mobility import Fleet, MobilityMode, trajectory_rows
+from fanetsim.mobility_config import MobilityConfig
 from fanetsim.simharness import record_trace
 
 from oracles import (

@@ -39,14 +39,41 @@ def test_cli_import_leaves_numpy_random_unloaded():
     assert _fresh_interpreter(code) == 0
 
 
-def test_bounds_modules_leave_numpy_unloaded():
-    # the package re-exports nothing, so the closed-form bounds load
-    # neither numpy nor the simulator
-    code = (
-        "import sys, fanetsim.analysis, fanetsim.geometry; "
-        "sys.exit('numpy' in sys.modules or 'fanetsim.simharness' in sys.modules)"
-    )
+@pytest.mark.parametrize(
+    "modules, unloaded",
+    [
+        # the package re-exports nothing, so the closed-form bounds load
+        # neither numpy nor the simulator
+        ("fanetsim.analysis, fanetsim.geometry", ("numpy", "fanetsim.simharness")),
+        # the harness and the CLI load numpy, the simulator and a process
+        # pool only when a simulation runs
+        (
+            "fanetsim.cli, fanetsim.simharness",
+            ("numpy", "fanetsim.mobility", "fanetsim.topology", "multiprocessing"),
+        ),
+    ],
+    ids=["bounds", "cli"],
+)
+def test_bounds_modules_leave_numpy_unloaded(modules, unloaded):
+    code = f"import sys, {modules}; sys.exit(bool(set({unloaded!r}) & set(sys.modules)))"
     assert _fresh_interpreter(code) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["bounds", "--n", "10", "--l", "10km", "--r", "5km", "--d", "7km"], 0),
+        (["fig3", "--set", "net.bogus=1"], 2),
+    ],
+    ids=["bounds", "config-error"],
+)
+def test_commands_without_a_simulation_leave_numpy_unloaded(argv, status):
+    # 99: the command returned, but numpy was loaded
+    code = (
+        f"import sys; from fanetsim import cli; status = cli.main({argv!r}); "
+        "sys.exit(99 if 'numpy' in sys.modules else status)"
+    )
+    assert _fresh_interpreter(code) == status
 
 
 def test_console_script_is_cli_main():

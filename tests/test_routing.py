@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fanetsim.mobility import Fleet, MobilityConfig
+from fanetsim.mobility import Fleet
+from fanetsim.mobility_config import MobilityConfig
 from fanetsim.routing import (
     HopRecord,
     PathWeight,

@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+import os
 import re
 from dataclasses import fields, replace
 
@@ -9,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from fanetsim import analysis, simharness
 from fanetsim.analysis import NetworkParams, bounds_report, hop_bounds
-from fanetsim.mobility import Fleet, MobilityConfig
+from fanetsim.mobility import Fleet
+from fanetsim.mobility_config import MobilityConfig
 from fanetsim.routing import PathWeight, SessionStatus, greedy_next_hop, route_greedy
 from fanetsim.simharness import (
     FIGURES,
@@ -183,7 +186,7 @@ class TestDeterminism:
             def starmap(self, fn, tasks, chunksize=1):
                 return [fn(*task) for task in tasks]
 
-        monkeypatch.setattr(simharness.multiprocessing, "Pool", SerialPool)
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
         return opened
 
     @pytest.mark.parametrize(
@@ -218,6 +221,24 @@ class TestDeterminism:
         cfg = small_config(
             sweep=SweepSpec("n_nodes", (8, 12)), runs=4, workers=workers
         )
+        result = run_experiment(cfg)
+        assert opened_pools == pools
+        assert result.to_csv() == run_experiment(replace(cfg, workers=1)).to_csv()
+
+    def test_serial_run_needs_no_cpu_set(self, monkeypatch):
+        # os.sched_getaffinity exists only on Linux; one worker never asks
+        expected = run_experiment(small_config(workers=1)).to_csv()
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert run_experiment(small_config(workers=1)).to_csv() == expected
+
+    @pytest.mark.parametrize("cpus, pools", [(2, [2]), (None, [])])
+    def test_pool_capped_at_cpu_count_without_cpu_set(
+        self, monkeypatch, opened_pools, cpus, pools
+    ):
+        # without sched_getaffinity, os.cpu_count caps the pool (None: 1)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = small_config(workers=3)
         result = run_experiment(cfg)
         assert opened_pools == pools
         assert result.to_csv() == run_experiment(replace(cfg, workers=1)).to_csv()

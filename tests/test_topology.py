@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fanetsim.mobility import Fleet, MobilityConfig
+from fanetsim.mobility import Fleet
+from fanetsim.mobility_config import MobilityConfig
 from fanetsim.routing import PathWeight, greedy_next_hop, route_dijkstra
 from fanetsim.topology import _BLOCK, ContactSnapshot, NetworkTrace
 

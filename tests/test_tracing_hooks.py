@@ -14,7 +14,7 @@ from pathlib import Path
 
 from fanetsim import analysis, geometry, routing, simharness
 from fanetsim.analysis import NetworkParams
-from fanetsim.mobility import MobilityConfig
+from fanetsim.mobility_config import MobilityConfig
 from fanetsim.simharness import Algorithm, ExperimentConfig, SweepSpec, run_experiment
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
