@@ -43,7 +43,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """Deployment parameters: node count, square side, transmission radius."""
+    """Deployment parameters: node count (kept as an int), square side,
+    transmission radius."""
 
     n_nodes: int
     area_side: float
@@ -51,6 +52,7 @@ class NetworkParams:
 
     def __post_init__(self) -> None:
         _check_node_count(self.n_nodes, 2)
+        object.__setattr__(self, "n_nodes", int(self.n_nodes))
         _check_length("area_side", self.area_side)
         _check_lens_length("comm_range", self.comm_range)
         diag = math.sqrt(2.0) * self.area_side

@@ -3,7 +3,8 @@
 Subcommands: ``fig3``..``fig6`` run the canned experiments and write CSV
 datasets (plus a JSON provenance echo), ``bounds`` prints the analytical
 corridor table for one parameter set, ``route`` traces a single seeded
-session hop by hop, and ``trace`` dumps mobility trajectories as CSV.
+session hop by hop, and ``trace`` dumps mobility trajectories as CSV; both
+show run 0 of a one-cell, one-session experiment at ``--seed``.
 
 Configuration is a flat INI file whose keys and defaults are the fields of
 the config dataclasses (``_SECTIONS``); every key can be overridden on the
@@ -32,8 +33,8 @@ from .simharness import (
     Algorithm,
     ConfigError,
     ExperimentConfig,
-    record_trace,
     run_experiment,
+    _deploy,
     _route_session,
 )
 
@@ -228,15 +229,8 @@ def _session_config(args) -> ExperimentConfig:
 
 
 def _cmd_route(args) -> int:
-    import numpy as np
-    from .mobility import Fleet
-    cfg = _session_config(args)
-
-    fleet = Fleet(cfg.mobility, cfg.net.n_nodes, cfg.seed)
-    trace = record_trace(fleet, cfg.net.comm_range, cfg.hop_cap(cfg.net.n_nodes))
-    rng = np.random.default_rng(cfg.seed)
-    source, dest = (int(x) for x in rng.choice(cfg.net.n_nodes, 2, replace=False))
-
+    cfg = replace(_session_config(args), sessions_per_run=1)
+    trace, [(source, dest)] = _deploy(cfg, (cfg.seed, 0, 0), cfg.net, cfg.mobility)
     algorithm = Algorithm(args.algorithm)
     out = _route_session(algorithm, trace, source, dest, cfg)
 
@@ -262,7 +256,8 @@ def _cmd_trace(args) -> int:
     from .mobility import trajectory_rows
     cfg = _session_config(args)
     try:
-        rows = trajectory_rows(cfg.mobility, cfg.net.n_nodes, cfg.seed, args.steps)
+        entropy = (cfg.seed, 0, 0)  # the harness's run 0, as in route
+        rows = trajectory_rows(cfg.mobility, cfg.net.n_nodes, entropy, args.steps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if args.out:

@@ -46,15 +46,18 @@ class QuadratureError(RuntimeError):
 
 
 def _check_node_count(n, minimum: int) -> None:
-    """Reject a node count that is a bool, not integral, or below ``minimum``.
-
-    An integral float such as 10.0 passes, as it does for an ``n_nodes``
-    sweep value in the simulation harness.
+    """Reject a node count that is a bool, not integral, below ``minimum``
+    or above every float (corridors raise floats to its power); an int is
+    compared exactly, never converted.  An integral float such as 10.0 passes.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Real) or not float(n).is_integer():
+    if isinstance(n, bool) or not isinstance(n, numbers.Real) or not (
+        isinstance(n, numbers.Integral) or float(n).is_integer()
+    ):
         raise ValueError(f"n_nodes must be an integer, got {n!r}")
     if n < minimum:
         raise ValueError(f"n_nodes must be >= {minimum}, got {n!r}")
+    if n > sys.float_info.max:
+        raise ValueError(f"n_nodes must be <= {sys.float_info.max!r}, got {n!r}")
 
 
 def _check_length(name: str, v) -> None:

@@ -140,8 +140,8 @@ def _stream_words(seed, n: int) -> np.ndarray:
 def _seed_words_type() -> type:
     """An ``ISeedSequence`` that hands PCG64 ready-made seed words.
 
-    Built on first use: importing ``numpy.random`` at module level would
-    add it to every ``import fanetsim``.
+    Built on first use: ``perfbench/run.py``'s tracer imports this module
+    but runs no fleet, and its children's ``ru_maxrss`` starts at its peak.
     """
     from numpy.random.bit_generator import ISeedSequence
 

@@ -11,11 +11,13 @@ attached at each cell's empirical mean source-destination distance over
 ``fanetsim bounds`` prints.
 
 Reproducibility: every random stream derives from
-(seed, sweep_index, run_index), and aggregation is an ordered reduction,
-so results are bitwise identical across repeat invocations and across
-worker counts.  Within one run, all algorithms replay the same mobility
-trace, which makes the comparison paired; the trace steps the fleet only
-as far as the furthest session reads (see ``record_trace``).
+(seed, sweep_index, run_index) in ``_deploy``, the one builder of a
+deployment, and aggregation is an ordered reduction, so results are
+bitwise identical across repeat invocations and across worker counts.
+The CLI's ``route`` and ``trace`` show run 0 of a one-cell, one-session
+experiment at their seed.  Within one run, all algorithms replay the
+same mobility trace, which makes the comparison paired; the trace steps
+the fleet only as far as the furthest session reads (see ``record_trace``).
 ``run_experiment`` resolves each sweep value's ``(NetworkParams,
 MobilityConfig)`` once, and every run and the aggregation of that value
 share the pair.  A run tallies its sessions' statuses under their string
@@ -37,7 +39,7 @@ Metric conventions per cell and algorithm:
   with the energy wasted on failed attempts amortized in, matching the
   re-initiation semantics of a failed journey.
 
-Importing this module loads no numpy: ``_run_one`` and ``record_trace``
+Importing this module loads no numpy: ``_deploy`` and ``record_trace``
 import numpy, ``Fleet`` and the topology classes once per run, and
 ``run_experiment`` imports ``multiprocessing`` only to open a pool.
 """
@@ -52,9 +54,10 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .analysis import NetworkParams, bounds_report
+from . import analysis
+from .analysis import NetworkParams
 # Module attributes that perfbench/tracing.py wraps by name; they are not
-# called here since the corridors come from bounds_report.
+# called here since the corridors come from analysis.bounds_report.
 from .analysis import expected_total_distance, hop_bounds, success_probability  # noqa: F401
 from .mobility_config import MobilityConfig, _check_count
 from .routing import (
@@ -294,9 +297,7 @@ def _cell_params(
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} sweep value {value!r} is not a number")
     if name == "n_nodes":
-        if not isinstance(value, numbers.Integral) and not float(value).is_integer():
-            raise ValueError(f"n_nodes sweep value {value!r} is not an integer")
-        return replace(cfg.net, n_nodes=int(value)), cfg.mobility
+        return replace(cfg.net, n_nodes=value), cfg.mobility
     if name in ("area_side", "comm_range"):
         net = replace(cfg.net, **{name: float(value)})
         if name == "area_side":
@@ -309,12 +310,7 @@ def _draw_pairs(
     rng: np.random.Generator, n: int, count: int
 ) -> list[tuple[int, int]]:
     """Ordered (source, dest) pairs, uniform without replacement."""
-    total = n * (n - 1)
-    if count > total:
-        raise ValueError(
-            f"cannot draw {count} distinct ordered pairs from {n} nodes"
-        )
-    picks = rng.choice(total, size=count, replace=False)
+    picks = rng.choice(n * (n - 1), size=count, replace=False)
     pairs = []
     for k in picks:
         i, j_raw = divmod(int(k), n - 1)
@@ -387,6 +383,25 @@ def _route_session(
     return execute_path(cursor, path, trace.n_steps)
 
 
+def _deploy(
+    cfg: ExperimentConfig,
+    entropy: tuple[int, int, int],
+    net: NetworkParams,
+    mobility: MobilityConfig,
+) -> tuple[NetworkTrace, list[tuple[int, int]]]:
+    """The trace, ``hop_cap`` steps long, and the session pairs of the
+    deployment with cell parameters ``net`` and ``mobility``."""
+    import numpy as np
+    from .mobility import Fleet
+
+    fleet = Fleet(mobility, net.n_nodes, entropy)
+    trace = record_trace(fleet, net.comm_range, cfg.hop_cap(net.n_nodes))
+    pair_rng = np.random.default_rng(
+        np.random.SeedSequence(entropy, spawn_key=(_PAIR_STREAM,))
+    )
+    return trace, _draw_pairs(pair_rng, net.n_nodes, cfg.sessions_per_run)
+
+
 def _run_one(
     cfg: ExperimentConfig,
     sweep_idx: int,
@@ -395,20 +410,10 @@ def _run_one(
     mobility: MobilityConfig,
 ) -> tuple[float, int, dict[Algorithm, _AlgStats]]:
     """One deployment of sweep value ``sweep_idx``, whose cell parameters
-    are ``net`` and ``mobility``: start a trace and route every session
-    with every algorithm.  Returns the sessions' summed session-start
-    separation, their count, and each algorithm's tallies."""
-    import numpy as np
-    from .mobility import Fleet
-    entropy = (cfg.seed, sweep_idx, run_idx)
-
-    fleet = Fleet(mobility, net.n_nodes, entropy)
-    trace = record_trace(fleet, net.comm_range, cfg.hop_cap(net.n_nodes))
-
-    pair_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy, spawn_key=(_PAIR_STREAM,))
-    )
-    pairs = _draw_pairs(pair_rng, net.n_nodes, cfg.sessions_per_run)
+    are ``net`` and ``mobility``: route every session with every
+    algorithm.  Returns the sessions' summed session-start separation,
+    their count, and each algorithm's tallies."""
+    trace, pairs = _deploy(cfg, (cfg.seed, sweep_idx, run_idx), net, mobility)
     snap0 = trace.snapshot(0)
     sum_d = sum(snap0.distance(s, d) for s, d in pairs)
 
@@ -474,7 +479,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         mean_d = sum(sums_d) / sum(n_sessions)
         cell_mean_d[value] = mean_d
 
-        rep = bounds_report(net, mean_d)
+        rep = analysis.bounds_report(net, mean_d)
         bounds = {
             "success_rate": (rep.p_success_lower, rep.p_success_upper),
             "hop_count": (rep.hops_lower, rep.hops_upper),

@@ -77,12 +77,6 @@ class ContactSnapshot:
         if not 0.0 < self.comm_range < math.inf:  # NaN would empty every row
             raise ValueError(f"comm_range must be finite and > 0, got {self.comm_range!r}")
 
-    def __reduce__(self):
-        # memoryviews do not pickle; the views, rows and table are rebuilt
-        return type(self), (
-            self.time, self.true_positions, self.predicted_positions, self.comm_range
-        )
-
     @classmethod
     def of_fleet(cls, fleet, comm_range: float) -> "ContactSnapshot":
         """The fleet's current true positions and its predicted ones."""

@@ -1,5 +1,6 @@
 import argparse
 import configparser
+import csv
 import io
 import json
 import math
@@ -15,12 +16,17 @@ import pytest
 from fanetsim.analysis import NetworkParams, bounds_report, min_range_for_isolation
 from fanetsim import cli
 from fanetsim.cli import ConfigError, build_experiment_config, load_config, main, parse_length
+from fanetsim.routing import SessionStatus
 from fanetsim.simharness import (
     FIGURES,
+    Algorithm,
     ExperimentConfig,
+    SweepSpec,
+    _deploy,
     figure3_dataset,
     figure5_dataset,
     figure6_dataset,
+    run_experiment,
 )
 
 ALL_KEYS = [f"{s}.{k}" for s, keys in cli._SECTIONS.items() for k in keys]
@@ -224,6 +230,16 @@ class TestBoundsCommand:
     def test_invalid_parameters_exit_2(self, capsys):
         assert main(["bounds", "--n", "1", "--l", "10", "--r", "5", "--d", "3"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    # a count no float holds used to exit 1 (int too large to convert to float)
+    @pytest.mark.parametrize("command", ["bounds", "route"])
+    def test_node_count_beyond_every_float_exits_2(self, capsys, command):
+        lengths = ["--l", "10km", "--r", "5km", "--d", "7km"] if command == "bounds" else []
+        code = main([command, "--n", str(10**400), *lengths])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("config error: n_nodes must be <= ")
+        assert captured.out == ""
 
     # 1e-300 squared underflows (a division by zero in the lens) and
     # 1e300 squared overflows; both used to exit 1 mid-report
@@ -480,6 +496,22 @@ class TestRouteCommand:
             assert code == 0
             assert f"algorithm={alg}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("alg", list(Algorithm), ids=lambda a: a.value)
+    def test_session_is_the_harness_session(self, capsys, alg):
+        # route shows run 0 of the one-cell, one-session experiment at
+        # --seed; at seed 8 each algorithm delivers, in 3, 3 and 4 hops
+        assert main(["route", "--seed", "8", "--n", "12", "--algorithm", alg.value]) == 0
+        out = capsys.readouterr().out
+        result = run_experiment(
+            ExperimentConfig(sweep=SweepSpec("n_nodes", (12,)), runs=1,
+                             sessions_per_run=1, algorithms=(alg,), seed=8)
+        )
+        status, hops = re.search(r"status: (\w+) hops=(\d+)", out).groups()
+        counts = result.status_counts[12, alg.value]
+        assert counts[SessionStatus(status)] == 1 and sum(counts.values()) == 1
+        assert f"D0={result.cell_mean_d[12]:.1f} m" in out
+        assert result.get(12, alg, "hop_count").mean == int(hops)
+
 
 class TestTraceCommand:
     def test_csv_columns_and_rows(self, tmp_path):
@@ -493,6 +525,20 @@ class TestTraceCommand:
         t, node_id, x, y, mode = lines[1].split(",")
         assert float(t) == 0.0
         assert mode in ("linear", "circular")
+
+    def test_rows_are_the_harness_deployment(self, capsys):
+        # trace dumps the fleet of run 0 of a one-cell experiment at --seed
+        assert main(["trace", "--seed", "4", "--n", "5", "--steps", "3"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        cfg = ExperimentConfig(net=NetworkParams(5, 10_000.0, 5_000.0), sessions_per_run=1)
+        trace, _ = _deploy(cfg, (4, 0, 0), cfg.net, cfg.mobility)
+        for k in range(4):
+            snap = trace.snapshot(k)
+            at_k = [r for r in rows if float(r[0]) == k * cfg.mobility.time_step]
+            assert [int(r[1]) for r in at_k] == list(range(5))
+            assert [(float(r[2]), float(r[3])) for r in at_k] == [
+                tuple(p) for p in snap.true_positions.tolist()
+            ]
 
     def test_negative_steps_exit_2(self, capsys):
         code = main(["trace", "--seed", "2", "--n", "2", "--steps", "-1"])

@@ -88,9 +88,26 @@ class TestConfigValidation:
     )
     def test_sweep_value_rejected(self, name, value, kind):
         cfg = small_config(sweep=SweepSpec(name, (value,)), runs=1)
-        message = re.escape(f"{name} sweep value {value!r} is not {kind}")
+        if kind == "an integer":  # NetworkParams checks every node count
+            message = re.escape(f"{name} must be {kind}, got {value!r}")
+        else:
+            message = re.escape(f"{name} sweep value {value!r} is not {kind}")
         with pytest.raises(ConfigError, match=message):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("n_nodes", [10.0, np.int64(10)], ids=["float", "numpy"])
+    def test_integral_node_count_runs_unswept(self, n_nodes):
+        # NetworkParams stores the count as an int; a float 10.0 used to
+        # build this config and then fail inside Fleet
+        cfg = small_config(
+            net=NetworkParams(n_nodes, 10_000.0, 5_000.0),
+            sweep=SweepSpec("mean_speed", (10.0,)),
+            runs=1,
+        )
+        assert type(cfg.net.n_nodes) is int
+        assert run_experiment(cfg).to_csv() == run_experiment(
+            replace(cfg, net=replace(cfg.net, n_nodes=10))
+        ).to_csv()
 
     @pytest.mark.parametrize(
         "call",

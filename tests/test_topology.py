@@ -1,4 +1,3 @@
-import pickle
 from collections import Counter
 
 import numpy as np
@@ -177,16 +176,6 @@ class TestKeptRows:
                 greedy_next_hop(snap, i, (i + 1) % 15)
         assert built == {"table": 1, **{i: 1 for i in range(15)}}
 
-    def test_pickled_copy_rebuilds_its_rows(self):
-        rng = np.random.default_rng(9)
-        pos, pred = rng.uniform(0, 10_000, size=(2, 12, 2))
-        snap = snap_from(pos, predicted=pred)
-        rows = {(i, p): snap.neighbors(i, p) for i in range(12) for p in (False, True)}
-        assert snap._table is not None and snap._predicted_rows
-        copy = pickle.loads(pickle.dumps(snap))
-        assert copy._table is None and not copy._predicted_rows
-        assert {(i, p): copy.neighbors(i, p) for i in range(12) for p in (False, True)} == rows
-
     @pytest.mark.parametrize("bad", [1.0, True, np.float64(1.0), "1", None])
     def test_non_integer_index_rejected(self, bad):
         snap = snap_from([(0, 0), (1_000, 0), (2_000, 0)])
@@ -332,20 +321,6 @@ class TestPositionStorage:
                     assert greedy_next_hop(snap, i, dest) == greedy_next_hop(
                         ref, i, dest
                     )
-
-    def test_pickle_round_trip(self):
-        rng = np.random.default_rng(3)
-        pos, pred = rng.uniform(0, 10_000, size=(2, 12, 2))
-        snap = snap_from(pos, predicted=pred)
-        list(snap.links(0))  # a kept link list is rebuilt, not carried
-        copy = pickle.loads(pickle.dumps(snap))
-        assert copy.time == snap.time and copy.comm_range == snap.comm_range
-        assert np.array_equal(copy.true_positions, snap.true_positions)
-        assert np.array_equal(copy.predicted_positions, snap.predicted_positions)
-        assert [copy.distance(0, j) for j in range(12)] == [
-            snap.distance(0, j) for j in range(12)
-        ]
-        assert list(copy.links(0)) == list(snap.links(0))
 
 
 class TestLinks:
