@@ -8,16 +8,21 @@ the best achievable progress per hop has a closed-form distribution built
 on that lens area; everything in this module is a pure function of its
 arguments.
 
-:func:`expected_progress` integrates :func:`progress_cdf`.  A
-:class:`ProgressDistribution` validates its fields and computes the sums
-and products of ``d``, ``r`` and ``area_side`` that the integrand reads
-once, when it is built.  The one lens formula, the private ``_lens``,
-takes those terms and the small radius; :func:`lens_area` is its public,
-validating entry.
+:func:`expected_progress` integrates :func:`progress_cdf`, bound to its
+distribution once per quadrature.  A :class:`ProgressDistribution`
+validates its fields and computes the sums and products of ``d``, ``r``
+and ``area_side`` that the integrand reads once, when it is built, the
+disk cap ``pi * r**2`` among them.  The one lens formula, the private
+``_lens``, takes those terms and the small radius; :func:`lens_area` is
+its public, validating entry.  :func:`progress_tail` and
+:func:`progress_cdf` share one private tail kernel; only the tail checks
+its ``x`` against [d - r, d], since a CDF ``y`` in [0, r] puts ``d - y``
+there.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import numbers
@@ -118,16 +123,17 @@ def lens_area(p: LensParams) -> float:
 
 
 def _lens_terms(d: float, rb: float) -> tuple:
-    """The sums and products of ``d`` and ``rb`` that :func:`_lens` reads."""
+    """The sums and products of ``d`` and ``rb`` that :func:`_lens` reads,
+    with the disk cap ``pi * rb**2`` of every ``rs`` >= ``rb``."""
     return (d, rb, d + rb, d - rb, rb - d, d * d + rb * rb, 2.0 * d * rb,
-            d * d, rb * rb, 2.0 * d)
+            d * d, rb * rb, 2.0 * d, math.pi * rb ** 2)
 
 
 def _lens(t: tuple, rs: float) -> float:
     """Lens area from the terms ``t`` of a validated ``d`` > 0 and ``rb``, and
     ``rs`` >= 0: the plain formula's operations in its order, bit for bit,
     with the parts free of ``rs`` read off ``t``."""
-    d, rb, d_plus_rb, d_minus_rb, rb_minus_d, dd_rr, two_d_rb, dd, rr, two_d = t
+    d, rb, d_plus_rb, d_minus_rb, rb_minus_d, dd_rr, two_d_rb, dd, rr, two_d, rb_cap = t
     if d_plus_rb <= rs:  # big circle entirely inside the small one
         return math.pi * rb * rb
     if d + rs <= rb:  # small circle entirely inside the big one
@@ -145,7 +151,7 @@ def _lens(t: tuple, rs: float) -> float:
     area = rr * math.acos(a1) + ss * math.acos(a2) - 0.5 * math.sqrt(radicand)
     if area < 0.0:  # round-off guards: mathematically 0 <= area <= min disk area
         return 0.0
-    cap = math.pi * (rs if rs < rb else rb) ** 2  # not rs * rs: it can differ
+    cap = math.pi * rs ** 2 if rs < rb else rb_cap  # not rs * rs: it can differ
     return cap if area > cap else area
 
 
@@ -191,24 +197,34 @@ def progress_tail(dist: ProgressDistribution, x: float) -> float:
     Valid for x in [d - r, d]; x below zero is equivalent to x = 0 since
     remaining distance is non-negative.
     """
-    lens, area_sq, lo, hi = dist._terms
+    _, _, lo, hi = dist._terms
     d = dist.d
     # Written so that a NaN x fails the test too.
     if not (lo <= x <= hi):
         raise ValueError(f"x={x!r} outside [d - r, d] = [{d - dist.r!r}, {d!r}]")
-    base = 1.0 - _lens(lens, 0.0 if x < 0.0 else d if x > d else x) / area_sq
-    base = 0.0 if base < 0.0 else 1.0 if base > 1.0 else base
-    return base ** dist.n_nodes
+    return _tail(dist, 0.0 if x < 0.0 else d if x > d else x)
 
 
 def progress_cdf(dist: ProgressDistribution, y: float) -> float:
-    """P[progress <= y]; piecewise over y < 0, [0, r], and y > r."""
+    """P[progress <= y]; piecewise over y < 0, [0, r], and y > r.  A NaN y
+    raises ``ValueError``."""
+    if 0.0 <= y <= dist.r:  # then 0 <= x <= d once x is clamped at 0
+        x = dist.d - y
+        return _tail(dist, 0.0 if x < 0.0 else x)
     if y < 0.0:
         return 0.0
     if y > dist.r:
         return 1.0
-    x = dist.d - y
-    return progress_tail(dist, 0.0 if x < 0.0 else x)
+    raise ValueError(f"y={y!r} is not a number")
+
+
+def _tail(dist: ProgressDistribution, rs: float) -> float:
+    """P[remaining distance >= rs] for an ``rs`` in [0, d]: the tail's
+    arithmetic, shared by :func:`progress_tail` and :func:`progress_cdf`."""
+    lens, area_sq, _, _ = dist._terms
+    base = 1.0 - _lens(lens, rs) / area_sq
+    base = 0.0 if base < 0.0 else 1.0 if base > 1.0 else base
+    return base ** dist.n_nodes
 
 
 def expected_progress(
@@ -221,8 +237,10 @@ def expected_progress(
     Raises :class:`QuadratureError` if the adaptive quadrature cannot reach
     ``rel_tol`` within ``max_panels`` panels.
     """
+    # Bound here, not at import, so a wrapper installed on the module
+    # global before this call sees every integrand point.
     integral = adaptive_quadrature(
-        lambda y: progress_cdf(dist, y),
+        functools.partial(progress_cdf, dist),
         0.0,
         dist.r,
         rel_tol=rel_tol,

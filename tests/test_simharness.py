@@ -167,6 +167,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="'greedy_static' is not an Algorithm"):
             small_config(algorithms=("greedy_static",))
 
+    @pytest.mark.parametrize("values", [(10, 10.0), (5.0, 10, 5)])
+    def test_repeated_sweep_value_rejected(self, values):
+        # equal values would share one cell's key in cell_mean_d,
+        # session_counts and the provenance, while the CSV kept both cells
+        with pytest.raises(ValueError, match="sweep value .* appears twice"):
+            SweepSpec("n_nodes", values)
+
     def test_duplicate_algorithm_rejected(self):
         # it would double the CSV rows and the attempted session counts
         with pytest.raises(ValueError, match="twice"):
@@ -187,12 +194,13 @@ class TestDeterminism:
 
     @pytest.fixture
     def opened_pools(self, monkeypatch):
-        """The ``processes`` of every pool opened; each pool runs serially."""
+        """``(processes, chunks)`` of every pool opened: its worker count and
+        the number of chunks its tasks arrive in; each pool runs serially."""
         opened = []
 
         class SerialPool:
             def __init__(self, processes):
-                opened.append(processes)
+                self.processes = processes
 
             def __enter__(self):
                 return self
@@ -201,14 +209,26 @@ class TestDeterminism:
                 return False
 
             def starmap(self, fn, tasks, chunksize=1):
+                tasks = list(tasks)
+                opened.append((self.processes, math.ceil(len(tasks) / chunksize)))
                 return [fn(*task) for task in tasks]
 
         monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
         return opened
 
+    @staticmethod
+    def assert_pools(opened_pools, pools):
+        """The pools opened had ``pools`` workers, and each got its tasks in
+        at most four chunks per worker: a chunk costs a round trip, and one
+        task per chunk made a small pool slower than no pool."""
+        assert [processes for processes, _ in opened_pools] == pools
+        for processes, chunks in opened_pools:
+            assert chunks <= 4 * processes
+
     @pytest.mark.parametrize(
         "workers, nodes, runs, pools",
-        [(5000, (8, 12), 1, [2]), (2, (8, 12), 6, [2]), (8, (8,), 1, [])],
+        [(5000, (8, 12), 1, [2]), (2, (8, 12), 6, [2]), (8, (8,), 1, []),
+         (2, (8, 10, 12), 10, [2])],
     )
     def test_pool_capped_at_task_count(
         self, monkeypatch, opened_pools, workers, nodes, runs, pools
@@ -222,7 +242,7 @@ class TestDeterminism:
             sweep=SweepSpec("n_nodes", nodes), runs=runs, workers=workers
         )
         result = run_experiment(cfg)
-        assert opened_pools == pools
+        self.assert_pools(opened_pools, pools)
         assert result.rows == run_experiment(replace(cfg, workers=1)).rows
 
     @pytest.mark.parametrize(
@@ -239,7 +259,7 @@ class TestDeterminism:
             sweep=SweepSpec("n_nodes", (8, 12)), runs=4, workers=workers
         )
         result = run_experiment(cfg)
-        assert opened_pools == pools
+        self.assert_pools(opened_pools, pools)
         assert result.to_csv() == run_experiment(replace(cfg, workers=1)).to_csv()
 
     def test_serial_run_needs_no_cpu_set(self, monkeypatch):
@@ -257,7 +277,7 @@ class TestDeterminism:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         cfg = small_config(workers=3)
         result = run_experiment(cfg)
-        assert opened_pools == pools
+        self.assert_pools(opened_pools, pools)
         assert result.to_csv() == run_experiment(replace(cfg, workers=1)).to_csv()
 
     def test_cell_params_resolved_once_per_sweep_value(self, monkeypatch):

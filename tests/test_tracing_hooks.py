@@ -2,9 +2,10 @@
 
 ``perfbench/tracing.py`` patches module globals and methods by name
 (``simharness.route_greedy``, ``simharness.execute_path``, the
-``simharness.hop_bounds`` re-import, ...).  This test installs it around
-one small experiment, so renaming or deleting such a name fails here and
-not only in a traced benchmark run.  It reads ``perfbench/`` and changes
+``simharness.hop_bounds`` re-import, ...).  These tests install it around
+one small experiment, one corridor report and the four toy workloads, so
+renaming or deleting such a name, or bypassing it, fails here and not
+only in a traced benchmark run.  They read ``perfbench/`` and change
 nothing there.
 """
 
@@ -20,9 +21,9 @@ from fanetsim.simharness import Algorithm, ExperimentConfig, SweepSpec, run_expe
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracing():
+def _load(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", PERFBENCH / "tracing.py"
+        f"perfbench_{name}", PERFBENCH / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
@@ -30,7 +31,7 @@ def _load_tracing():
     return module
 
 
-tracing = _load_tracing()
+tracing = _load("tracing")
 
 
 def test_recorder_wraps_and_restores_the_library():
@@ -100,3 +101,28 @@ def test_recorder_counts_every_integrand_evaluation(monkeypatch):
     assert m["geometry.expected_progress.calls"] == 2
     assert evals > 0
     assert m["geometry.integrand_evals"] == evals
+
+
+def test_tracer_blind_spots_are_the_known_ones():
+    # Every span the tracer wraps fires on some toy workload, except these
+    # two: the lens reaches the integrand through the private _lens, and
+    # bounds_report derives the travel corridor without calling
+    # expected_total_distance.  A refactor that bypasses another wrapped
+    # name (progress_cdf, expected_progress, ...) grows this set and fails
+    # here; fixing a blind spot shrinks it on purpose.
+    workloads = _load("workloads")
+    fired = set()
+    for name in workloads.NAMES:
+        w = workloads.make(name, 3, toy=True)
+        analysis._worst_case_progress.cache_clear()
+        rec = tracing.Recorder()
+        rec.install()
+        try:
+            w.run()
+        finally:
+            rec.uninstall()
+        assert rec.check_spans() is None
+        fired |= {span[1] for span in rec.spans}
+    analysis._worst_case_progress.cache_clear()
+    never = {name for _, _, name in tracing._SPANS} - fired
+    assert never == {"analysis.expected_total_distance", "geometry.lens_area"}
