@@ -8,10 +8,15 @@ show run 0 of a one-cell, one-session experiment at ``--seed``.
 
 Configuration is a flat INI file whose keys and defaults are the fields of
 the config dataclasses (``_SECTIONS``); every key can be overridden on the
-command line via ``--set section.key=value``.  A command's config is its
-reference (``ExperimentConfig()``, or a figure's entry in ``FIGURES``) with
-the values set in the file and by ``--set`` replaced.
-Lengths accept a ``km`` or ``m`` suffix and are stored in meters.
+command line via ``--set section.key=value``.  ``--runs``, ``--seed``,
+``--workers`` and ``--n`` are shorthands for the INI keys in ``_FLAG_KEYS``,
+applied after ``--set``.  A command's config is its reference
+(``ExperimentConfig()``, or a figure's entry in ``FIGURES``) with the values
+set in the file, by ``--set`` and by the shorthands replaced.  Lengths accept
+a ``km`` or ``m`` suffix and are stored in meters.
+
+Each subcommand names its handler in the parser; a figure command writes
+``ExperimentResult.to_csv()`` and ``provenance()`` to its output directory.
 
 Importing this module loads no numpy: only ``route``, ``trace`` and the figures do.
 """
@@ -163,28 +168,33 @@ def _reject_fixed_keys(name: str, values: dict[str, dict[str, str]]) -> None:
             raise ConfigError(f"{section}.{key} cannot be set: {name} {verb} it")
 
 
-def _output_dir(args) -> Path:
-    out = args.out or os.environ.get(OUTPUT_DIR_ENV) or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+# Convenience flag -> the INI key it sets; the flags given apply after --set.
+_FLAG_KEYS = {
+    "runs": "experiment.runs",
+    "seed": "experiment.seed",
+    "workers": "experiment.workers",
+    "n": "net.n_nodes",
+}
 
 
-def _cmd_figure(name: str, args) -> int:
-    overrides = list(args.set or [])
-    if args.runs is not None:
-        overrides.append(f"experiment.runs={args.runs}")
-    if args.seed is not None:
-        overrides.append(f"experiment.seed={args.seed}")
-    if args.workers is not None:
-        overrides.append(f"experiment.workers={args.workers}")
-    values = load_config(args.config, overrides)
+def _command_values(args) -> dict[str, dict[str, str]]:
+    """``load_config`` of the command's file, its --set values, then its flags."""
+    flags = [f"{key}={getattr(args, flag)}" for flag, key in _FLAG_KEYS.items()
+             if getattr(args, flag, None) is not None]
+    return load_config(args.config, [*(args.set or []), *flags])
+
+
+def _cmd_figure(args) -> int:
+    name = args.command
+    values = _command_values(args)
     _reject_fixed_keys(name, values)
     result = run_experiment(build_experiment_config(values, FIGURES[name]))
-    out_dir = _output_dir(args)
+    out_dir = Path(args.out or os.environ.get(OUTPUT_DIR_ENV) or ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{name}.csv"
-    result.write_csv(csv_path)
-    result.write_provenance(out_dir / f"{name}.json", overrides=list(args.set or []))
+    csv_path.write_text(result.to_csv(), encoding="utf-8", newline="\n")
+    provenance = result.provenance(args.set)
+    (out_dir / f"{name}.json").write_text(provenance, encoding="utf-8", newline="\n")
     print(f"wrote {csv_path}")
     return 0
 
@@ -218,18 +228,8 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _session_config(args) -> ExperimentConfig:
-    """The config of ``route`` and ``trace``: file, --set, then --n/--seed."""
-    overrides = list(args.set or [])
-    if args.n is not None:
-        overrides.append(f"net.n_nodes={args.n}")
-    if args.seed is not None:
-        overrides.append(f"experiment.seed={args.seed}")
-    return build_experiment_config(load_config(args.config, overrides))
-
-
 def _cmd_route(args) -> int:
-    cfg = replace(_session_config(args), sessions_per_run=1)
+    cfg = replace(build_experiment_config(_command_values(args)), sessions_per_run=1)
     trace, [(source, dest)] = _deploy(cfg, (cfg.seed, 0, 0), cfg.net, cfg.mobility)
     algorithm = Algorithm(args.algorithm)
     out = _route_session(algorithm, trace, source, dest, cfg)
@@ -254,7 +254,7 @@ def _cmd_route(args) -> int:
 
 def _cmd_trace(args) -> int:
     from .mobility import trajectory_rows
-    cfg = _session_config(args)
+    cfg = build_experiment_config(_command_values(args))
     try:
         entropy = (cfg.seed, 0, 0)  # the harness's run 0, as in route
         rows = trajectory_rows(cfg.mobility, cfg.net.n_nodes, entropy, args.steps)
@@ -302,12 +302,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
         ("fig6", "power per delivered packet vs mean speed"),
     ):
         p = sub.add_parser(name, help=blurb)
+        p.set_defaults(handler=_cmd_figure)
         _add_common(p)
         p.add_argument("--runs", type=int, help="Monte Carlo runs per cell")
         p.add_argument("--workers", type=int, help="parallel worker processes")
         p.add_argument("--out", help="output directory (default $FANETSIM_OUTDIR or .)")
 
     p = sub.add_parser("bounds", help="print the analytical corridor table")
+    p.set_defaults(handler=_cmd_bounds)
     p.add_argument("--n", type=int, required=True, help="number of nodes")
     p.add_argument("--l", required=True, help="deployment square side (m or km)")
     p.add_argument("--r", required=True, help="transmission range (m or km)")
@@ -315,6 +317,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, help="isolation target for min range")
 
     p = sub.add_parser("route", help="trace one seeded routing session")
+    p.set_defaults(handler=_cmd_route)
     _add_common(p)
     p.add_argument("--n", type=int, help="number of nodes")
     p.add_argument(
@@ -324,6 +327,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("trace", help="dump mobility trajectories as CSV")
+    p.set_defaults(handler=_cmd_trace)
     _add_common(p)
     p.add_argument("--n", type=int, help="number of nodes")
     p.add_argument("--steps", type=int, default=100, help="time steps to record")
@@ -335,14 +339,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        if args.command in FIGURES:
-            status = _cmd_figure(args.command, args)
-        elif args.command == "bounds":
-            status = _cmd_bounds(args)
-        elif args.command == "route":
-            status = _cmd_route(args)
-        else:
-            status = _cmd_trace(args)
+        status = args.handler(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return status
     except BrokenPipeError:

@@ -38,6 +38,9 @@ Metric conventions per cell and algorithm:
   number of delivered packets, i.e. transmit energy per delivered packet
   with the energy wasted on failed attempts amortized in, matching the
   re-initiation semantics of a failed journey.
+* ``stderr``: the standard error of a cell's per-run values; NaN (an
+  empty CSV cell) when the cell holds one value, which has no spread to
+  estimate.
 
 Importing this module loads no numpy: ``_deploy`` and ``record_trace``
 import numpy, ``Fleet`` and the topology classes once per run, and
@@ -265,10 +268,6 @@ class ExperimentResult:
             )
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv())
-
     def provenance(self, overrides: list[str] | None = None) -> str:
         payload = {
             "config": self.config,
@@ -276,10 +275,6 @@ class ExperimentResult:
             "cell_mean_d": {str(k): v for k, v in self.cell_mean_d.items()},
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    def write_provenance(self, path, overrides: list[str] | None = None) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.provenance(overrides))
 
 
 def _fmt(v) -> str:
@@ -332,7 +327,6 @@ _STATUS_VALUES = tuple(s.value for s in SessionStatus)
 
 @dataclass
 class _AlgStats:
-    sessions: int = 0
     delivered: int = 0
     hops_sum: float = 0.0
     dist_sum: float = 0.0
@@ -352,7 +346,6 @@ class _AlgStats:
             travel += d
             power += d * d
         status = out.status
-        self.sessions += 1
         self.statuses[status._value_] += 1
         self.power_total += power
         if status is SessionStatus.DELIVERED:
@@ -417,11 +410,11 @@ def _run_one(
     run_idx: int,
     net: NetworkParams,
     mobility: MobilityConfig,
-) -> tuple[float, int, dict[Algorithm, _AlgStats]]:
+) -> tuple[float, dict[Algorithm, _AlgStats]]:
     """One deployment of sweep value ``sweep_idx``, whose cell parameters
     are ``net`` and ``mobility``: route every session with every
-    algorithm.  Returns the sessions' summed session-start separation,
-    their count, and each algorithm's tallies."""
+    algorithm.  Returns the sessions' summed session-start separation and
+    each algorithm's tallies."""
     trace, pairs = _deploy(cfg, (cfg.seed, sweep_idx, run_idx), net, mobility)
     snap0 = trace.snapshot(0)
     sum_d = sum(snap0.distance(s, d) for s, d in pairs)
@@ -431,7 +424,7 @@ def _run_one(
         stats = per_alg[alg]
         for source, dest in pairs:
             stats.add(_route_session(alg, trace, source, dest, cfg))
-    return sum_d, len(pairs), per_alg
+    return sum_d, per_alg
 
 
 def _mean_stderr(values: list[float]) -> tuple[float, float]:
@@ -441,7 +434,7 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
     a = np.array(values)
     mean = float(a.mean())
     if len(a) < 2:
-        return mean, 0.0
+        return mean, math.nan
     return mean, float(a.std(ddof=1) / math.sqrt(len(a)))
 
 
@@ -487,10 +480,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     delivered_mean_d: dict = {}
     session_counts: dict = {}
     status_counts: dict = {}
+    attempted = cfg.runs * cfg.sessions_per_run  # per cell, by each algorithm
     for si, (value, (net, _)) in enumerate(zip(cfg.sweep.values, cells)):
         cell = results[si * cfg.runs : (si + 1) * cfg.runs]
-        sums_d, n_sessions, per_alg = zip(*cell)
-        mean_d = sum(sums_d) / sum(n_sessions)
+        sums_d, per_alg = zip(*cell)
+        mean_d = sum(sums_d) / attempted
         cell_mean_d[value] = mean_d
 
         rep = analysis.bounds_report(net, mean_d)
@@ -504,15 +498,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         for alg in cfg.algorithms:
             per_run = [stats[alg] for stats in per_alg]
             delivering = [r for r in per_run if r.delivered]
-            success = [r.delivered / r.sessions for r in per_run]
+            success = [r.delivered / cfg.sessions_per_run for r in per_run]
             hops = [r.hops_sum / r.delivered for r in delivering]
             dist = [r.dist_sum / r.delivered for r in delivering]
             power = [r.power_total / r.delivered for r in delivering]
             delivered_d = [r.delivered_d_sum / r.delivered for r in delivering]
             delivered_mean_d[value, alg.value] = _mean_stderr(delivered_d)[0]
             session_counts[value, alg.value] = (
-                sum(r.delivered for r in per_run),
-                sum(r.sessions for r in per_run),
+                sum(r.delivered for r in per_run), attempted
             )
             status_counts[value, alg.value] = {
                 status: sum(r.statuses[status.value] for r in per_run)

@@ -466,6 +466,16 @@ class TestFigureCommands:
         assert code == 0
         assert (out / "fig4.csv").is_file()
 
+    def test_one_run_has_no_stderr(self, tmp_path):
+        # one run is one value per cell: there is no spread to put an
+        # error bar on, so the stderr cell is empty rather than 0
+        assert main(["fig3", "--runs", "1", "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "fig3.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 6 * 4
+        assert [row["stderr"] for row in rows] == [""] * len(rows)
+        assert all(row["mean"] for row in rows if row["metric"] == "success_rate")
+
     def test_unwritable_output_exits_1(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
@@ -473,6 +483,41 @@ class TestFigureCommands:
                      "--out", str(blocker / "sub")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestFlagsAreIniKeys:
+    """Each convenience flag is a shorthand for one INI key, set after --set."""
+
+    @pytest.mark.parametrize(
+        "sub, flags, keys",
+        [
+            ("fig3", ["--runs", "1", "--seed", "5"],
+             ["--set", "experiment.runs=1", "--set", "experiment.seed=5"]),
+            ("fig5", ["--runs", "1", "--workers", "2"],
+             ["--runs", "1", "--set", "experiment.workers=2"]),
+        ],
+    )
+    def test_figure_flags_write_the_key_csv(self, tmp_path, sub, flags, keys):
+        csvs = []
+        for name, argv in (("flags", flags), ("keys", keys)):
+            assert main([sub, "--out", str(tmp_path / name), *argv]) == 0
+            csvs.append((tmp_path / name / f"{sub}.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+    @staticmethod
+    def route(capsys, *argv):
+        assert main(["route", *argv]) == 0
+        return capsys.readouterr().out
+
+    def test_route_flags_print_the_key_session(self, capsys):
+        assert self.route(capsys, "--n", "12", "--seed", "8") == self.route(
+            capsys, "--set", "net.n_nodes=12", "--set", "experiment.seed=8"
+        )
+
+    def test_flag_wins_over_set(self, capsys):
+        seed_2 = self.route(capsys, "--seed", "2")
+        assert seed_2 != self.route(capsys, "--seed", "1")
+        assert self.route(capsys, "--set", "experiment.seed=1", "--seed", "2") == seed_2
 
 
 class TestRouteCommand:

@@ -167,6 +167,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="'greedy_static' is not an Algorithm"):
             small_config(algorithms=("greedy_static",))
 
+    @pytest.mark.parametrize(
+        "build, kwargs, message",
+        [
+            (MobilityConfig, {"mean_speed": -1.0}, "mean_speed must be >= 0, got -1.0"),
+            (MobilityConfig, {"prediction_noise_var": -0.5},
+             "prediction_noise_var must be >= 0, got -0.5"),
+            (MobilityConfig, {"mean_turn_radius": 0.0},
+             "mean_turn_radius must be > 0, got 0.0"),
+            (small_config, {"sessions_per_run": 0}, "sessions_per_run must be >= 1, got 0"),
+            (small_config, {"algorithms": ()}, "at least one algorithm required"),
+            (small_config, {"workers": 0}, "workers must be >= 1, got 0"),
+        ],
+        ids=["mean_speed", "prediction_noise_var", "mean_turn_radius",
+             "sessions_per_run", "algorithms", "workers"],
+    )
+    def test_out_of_range_rejected(self, build, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(**kwargs)
+
     @pytest.mark.parametrize("values", [(10, 10.0), (5.0, 10, 5)])
     def test_repeated_sweep_value_rejected(self, values):
         # equal values would share one cell's key in cell_mean_d,
@@ -447,6 +466,45 @@ class TestMetrics:
         res = run_experiment(small_config())
         for value, mean_d in res.cell_mean_d.items():
             assert 0.0 < mean_d < math.sqrt(2.0) * 10_000.0
+
+
+class TestCellParams:
+    """Sweeping a NetworkParams length: the cell's network and fleet."""
+
+    @staticmethod
+    def config(name, values):
+        return small_config(sweep=SweepSpec(name, values), runs=2, sessions_per_run=3)
+
+    def test_area_side_sets_net_and_mobility(self):
+        cfg = self.config("area_side", (8_000.0, 12_000.0))
+        for value in cfg.sweep.values:
+            net, mobility = simharness._cell_params(cfg, value)
+            assert net == replace(cfg.net, area_side=value)
+            assert mobility == replace(cfg.mobility, area_side=value)
+
+    def test_comm_range_leaves_mobility(self):
+        cfg = self.config("comm_range", (3_000.0, 6_000.0))
+        for value in cfg.sweep.values:
+            net, mobility = simharness._cell_params(cfg, value)
+            assert net == replace(cfg.net, comm_range=value)
+            assert mobility is cfg.mobility
+
+    @pytest.mark.parametrize(
+        "name, values",
+        [("area_side", (8_000.0, 12_000.0)), ("comm_range", (3_000.0, 6_000.0))],
+    )
+    def test_bounds_are_the_cell_network_report(self, name, values):
+        cfg = self.config(name, values)
+        res = run_experiment(cfg)
+        for value in values:
+            rep = bounds_report(replace(cfg.net, **{name: value}), res.cell_mean_d[value])
+            for metric, lo, hi in (
+                ("success_rate", rep.p_success_lower, rep.p_success_upper),
+                ("hop_count", rep.hops_lower, rep.hops_upper),
+                ("distance", rep.dist_lower, rep.dist_upper),
+            ):
+                row = res.get(value, Algorithm.GREEDY_PREDICTIVE, metric)
+                assert (row.bound_lower, row.bound_upper) == (lo, hi)
 
 
 class TestStderrScaling:
