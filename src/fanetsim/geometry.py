@@ -17,7 +17,10 @@ disk cap ``pi * r**2`` among them.  The one lens formula, the private
 its public, validating entry.  :func:`progress_tail` and
 :func:`progress_cdf` share one private tail kernel; only the tail checks
 its ``x`` against [d - r, d], since a CDF ``y`` in [0, r] puts ``d - y``
-there.
+there.  :func:`adaptive_quadrature` hands each split panel's two half
+Simpson sums to its children as their one-panel sums, so it forms every
+sum once and returns, bit for bit, the float of the rule that formed each
+child's sum again from the same points.
 """
 
 from __future__ import annotations
@@ -267,36 +270,51 @@ def adaptive_quadrature(
     raises :class:`QuadratureError` when ``max_panels`` panels are not
     enough.  The integrand must be finite on [a, b]; it is smooth in all
     uses here, but sharp interior knees are handled by the adaptivity.
+
+    A split panel hands each child its half's Simpson sum as the child's
+    one-panel sum, so every sum is formed once; the result is, bit for
+    bit, the float of the rule that formed each child's one-panel sum
+    afresh from the same points.  Raises ``ValueError`` naming the
+    argument, before any work, for a NaN or infinite ``a`` or ``b``, a
+    NaN or negative tolerance, or ``max_panels`` < 1.
     """
+    for name, v in (("a", a), ("b", b)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
+    for name, v in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
+        if not v >= 0.0:
+            raise ValueError(f"{name} must be >= 0, got {v!r}")
+    if not max_panels >= 1:
+        raise ValueError(f"max_panels must be >= 1, got {max_panels!r}")
     if b < a:
         raise ValueError(f"integration bounds reversed: [{a!r}, {b!r}]")
     if b == a:
         return 0.0
 
-    def make_panel(lo: float, mid: float, hi: float,
-                   flo: float, fmid: float, fhi: float) -> tuple:
-        # Simpson's rule on the panel and on each half
-        coarse = (hi - lo) * (flo + 4.0 * fmid + fhi) / 6.0
-        lq = 0.5 * (lo + mid)
-        rq = 0.5 * (mid + hi)
-        flq = f(lq)
-        frq = f(rq)
-        fine = ((mid - lo) * (flo + 4.0 * flq + fmid) / 6.0
-                + (hi - mid) * (fmid + 4.0 * frq + fhi) / 6.0)
-        err = abs(fine - coarse) / 15.0
-        value = fine + (fine - coarse) / 15.0  # Richardson extrapolation
-        return (lo, lq, mid, rq, hi, flo, flq, fmid, frq, fhi, value, err)
-
+    # A panel [lo, hi] holds f at lo, its quarter points lq and rq, its
+    # midpoint mid and hi, and the Simpson sums of its halves.
+    lo, hi = a, b
     mid = 0.5 * (a + b)
-    root = make_panel(a, mid, b, f(a), f(mid), f(b))
-    total = root[10]
-    total_err = root[11]
+    flo, fmid, fhi = f(a), f(mid), f(b)
+    coarse = (hi - lo) * (flo + 4.0 * fmid + fhi) / 6.0
+    lq = 0.5 * (lo + mid)
+    rq = 0.5 * (mid + hi)
+    flq = f(lq)
+    frq = f(rq)
+    left = (mid - lo) * (flo + 4.0 * flq + fmid) / 6.0
+    right = (hi - mid) * (fmid + 4.0 * frq + fhi) / 6.0
+    fine = left + right
+    err = abs(fine - coarse) / 15.0
+    total = fine + (fine - coarse) / 15.0  # Richardson extrapolation
+    total_err = err
     n_panels = 1
-    counter = 0  # heap tiebreaker; panels are never compared directly
-    heap = [(-root[11], counter, root)]
+    counter = 0  # heap tiebreaker; the panel fields are never compared
+    heap = [(-err, counter, lo, lq, mid, rq, hi, flo, flq, fmid, frq, fhi,
+             left, right, total, err)]
 
     while True:
-        if total_err <= max(rel_tol * abs(total), abs_tol):
+        bound = rel_tol * abs(total)
+        if total_err <= (abs_tol if abs_tol > bound else bound):
             return total
         if n_panels >= max_panels:
             raise QuadratureError(
@@ -304,13 +322,33 @@ def adaptive_quadrature(
                 f"{max_panels} panels (error estimate {total_err:g}, "
                 f"integral {total:g})"
             )
-        _, _, panel = heapq.heappop(heap)
-        lo, lq, mid, rq, hi, flo, flq, fmid, frq, fhi, value, err = panel
-        child_l = make_panel(lo, lq, mid, flo, flq, fmid)
-        child_r = make_panel(mid, rq, hi, fmid, frq, fhi)
-        total += child_l[10] + child_r[10] - value
-        total_err += child_l[11] + child_r[11] - err
-        for child in (child_l, child_r):
-            counter += 1
-            heapq.heappush(heap, (-child[11], counter, child))
+        (_, _, lo, lq, mid, rq, hi, flo, flq, fmid, frq, fhi,
+         left, right, value, err) = heapq.heappop(heap)
+        # The left child [lo, mid] and the right child [mid, hi], each
+        # with its one-panel sum from this panel.
+        llq = 0.5 * (lo + lq)
+        lrq = 0.5 * (lq + mid)
+        fllq = f(llq)
+        flrq = f(lrq)
+        ll = (lq - lo) * (flo + 4.0 * fllq + flq) / 6.0
+        lr = (mid - lq) * (flq + 4.0 * flrq + fmid) / 6.0
+        fine = ll + lr
+        err_l = abs(fine - left) / 15.0
+        value_l = fine + (fine - left) / 15.0
+        rlq = 0.5 * (mid + rq)
+        rrq = 0.5 * (rq + hi)
+        frlq = f(rlq)
+        frrq = f(rrq)
+        rl = (rq - mid) * (fmid + 4.0 * frlq + frq) / 6.0
+        rr = (hi - rq) * (frq + 4.0 * frrq + fhi) / 6.0
+        fine = rl + rr
+        err_r = abs(fine - right) / 15.0
+        value_r = fine + (fine - right) / 15.0
+        total += value_l + value_r - value
+        total_err += err_l + err_r - err
+        heapq.heappush(heap, (-err_l, counter + 1, lo, llq, lq, lrq, mid,
+                              flo, fllq, flq, flrq, fmid, ll, lr, value_l, err_l))
+        counter += 2
+        heapq.heappush(heap, (-err_r, counter, mid, rlq, rq, rrq, hi,
+                              fmid, frlq, frq, frrq, fhi, rl, rr, value_r, err_r))
         n_panels += 1

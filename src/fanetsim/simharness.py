@@ -14,6 +14,9 @@ Reproducibility: every random stream derives from
 (seed, sweep_index, run_index) in ``_deploy``, the one builder of a
 deployment, and aggregation is an ordered reduction, so results are
 bitwise identical across repeat invocations and across worker counts.
+The aggregation is plain Python that follows numpy's pairwise summation
+order, so each cell's mean and standard error equal numpy's ``mean()``
+and ``std(ddof=1) / sqrt(n)`` bit for bit.
 The CLI's ``route`` and ``trace`` show run 0 of a one-cell, one-session
 experiment at their seed.  Within one run, all algorithms replay the
 same mobility trace, which makes the comparison paired; the trace steps
@@ -42,9 +45,10 @@ Metric conventions per cell and algorithm:
   empty CSV cell) when the cell holds one value, which has no spread to
   estimate.
 
-Importing this module loads no numpy: ``_deploy`` and ``record_trace``
-import numpy, ``Fleet`` and the topology classes once per run, and
-``run_experiment`` imports ``multiprocessing`` only to open a pool.
+Importing this module loads no numpy, nor does the aggregation:
+``_deploy`` and ``record_trace`` import numpy, ``Fleet`` and the topology
+classes once per run, and ``run_experiment`` imports ``multiprocessing``
+only to open a pool.
 Before it opens one, it imports ``mobility`` and ``topology`` (numpy with
 them), so the forked workers inherit them instead of each importing
 numpy, and it hands the workers their runs in about four chunks each.
@@ -427,15 +431,48 @@ def _run_one(
     return sum_d, per_alg
 
 
+def _pairwise_sum(v: list[float]) -> float:
+    """numpy's float64 pairwise sum of ``v``, bit for bit: in order below 8
+    values, eight strided accumulators up to 128, halves above that."""
+    n = len(v)
+    if n < 8:
+        s = 0.0
+        for x in v:
+            s += x
+        return s
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = v[:8]
+        m = n - n % 8
+        for i in range(8, m, 8):
+            r0 += v[i]
+            r1 += v[i + 1]
+            r2 += v[i + 2]
+            r3 += v[i + 3]
+            r4 += v[i + 4]
+            r5 += v[i + 5]
+            r6 += v[i + 6]
+            r7 += v[i + 7]
+        s = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for x in v[m:]:
+            s += x
+        return s
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(v[:half]) + _pairwise_sum(v[half:])
+
+
 def _mean_stderr(values: list[float]) -> tuple[float, float]:
-    if not values:
+    """The mean and standard error of ``values``, equal bit for bit to
+    numpy's ``mean()`` and ``std(ddof=1) / sqrt(n)``."""
+    n = len(values)
+    if not n:
         return math.nan, math.nan
-    import numpy as np
-    a = np.array(values)
-    mean = float(a.mean())
-    if len(a) < 2:
+    # numpy's reduction starts from 0.0, which turns a -0.0 sum into 0.0
+    mean = (0.0 + _pairwise_sum(values)) / n
+    if n < 2:
         return mean, math.nan
-    return mean, float(a.std(ddof=1) / math.sqrt(len(a)))
+    var = (0.0 + _pairwise_sum([(v - mean) * (v - mean) for v in values])) / (n - 1)
+    return mean, math.sqrt(var) / math.sqrt(n)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

@@ -11,15 +11,22 @@ them (``init_deployment``, ``renewal_params``) and taken through
 progress-tail arithmetic (``plain_lens_area`` and friends) is the
 library's formula written out on the raw lengths, with nothing computed
 ahead, as the reference its per-distribution terms must match bit for bit.
+``adaptive_quadrature`` is the library's globally adaptive Simpson rule
+with each panel built by a closure that forms its one-panel sum afresh
+from its three points; the library's loop, which hands each child that
+sum from its parent, must return its float bit for bit.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, fields, replace
+from typing import Callable
 
 import numpy as np
 
+from fanetsim.geometry import QuadratureError
 from fanetsim.mobility import MobilityMode
 from fanetsim.mobility_config import MobilityConfig
 
@@ -127,6 +134,72 @@ def plain_progress_cdf(
     if y > r:
         return 1.0
     return plain_progress_tail(d, r, n_nodes, area_side, max(d - y, 0.0))
+
+
+def adaptive_quadrature(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    rel_tol: float = 1e-9,
+    abs_tol: float = 0.0,
+    max_panels: int = 10_000,
+) -> float:
+    """Globally adaptive Simpson quadrature of ``f`` over [a, b].
+
+    Keeps a worst-panel-first queue; each panel carries the Richardson
+    error estimate |S_halved - S_whole| / 15 from comparing its one-panel
+    Simpson rule against the two-half refinement.  Stops once the summed
+    error estimate drops below max(rel_tol * |integral|, abs_tol), and
+    raises :class:`QuadratureError` when ``max_panels`` panels are not
+    enough.  The integrand must be finite on [a, b]; it is smooth in all
+    uses here, but sharp interior knees are handled by the adaptivity.
+    """
+    if b < a:
+        raise ValueError(f"integration bounds reversed: [{a!r}, {b!r}]")
+    if b == a:
+        return 0.0
+
+    def make_panel(lo: float, mid: float, hi: float,
+                   flo: float, fmid: float, fhi: float) -> tuple:
+        # Simpson's rule on the panel and on each half
+        coarse = (hi - lo) * (flo + 4.0 * fmid + fhi) / 6.0
+        lq = 0.5 * (lo + mid)
+        rq = 0.5 * (mid + hi)
+        flq = f(lq)
+        frq = f(rq)
+        fine = ((mid - lo) * (flo + 4.0 * flq + fmid) / 6.0
+                + (hi - mid) * (fmid + 4.0 * frq + fhi) / 6.0)
+        err = abs(fine - coarse) / 15.0
+        value = fine + (fine - coarse) / 15.0  # Richardson extrapolation
+        return (lo, lq, mid, rq, hi, flo, flq, fmid, frq, fhi, value, err)
+
+    mid = 0.5 * (a + b)
+    root = make_panel(a, mid, b, f(a), f(mid), f(b))
+    total = root[10]
+    total_err = root[11]
+    n_panels = 1
+    counter = 0  # heap tiebreaker; panels are never compared directly
+    heap = [(-root[11], counter, root)]
+
+    while True:
+        if total_err <= max(rel_tol * abs(total), abs_tol):
+            return total
+        if n_panels >= max_panels:
+            raise QuadratureError(
+                f"no convergence to rel_tol={rel_tol:g} within "
+                f"{max_panels} panels (error estimate {total_err:g}, "
+                f"integral {total:g})"
+            )
+        _, _, panel = heapq.heappop(heap)
+        lo, lq, mid, rq, hi, flo, flq, fmid, frq, fhi, value, err = panel
+        child_l = make_panel(lo, lq, mid, flo, flq, fmid)
+        child_r = make_panel(mid, rq, hi, fmid, frq, fhi)
+        total += child_l[10] + child_r[10] - value
+        total_err += child_l[11] + child_r[11] - err
+        for child in (child_l, child_r):
+            counter += 1
+            heapq.heappush(heap, (-child[11], counter, child))
+        n_panels += 1
 
 
 def mc_best_progress(

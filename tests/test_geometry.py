@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fanetsim import geometry
 from fanetsim.geometry import (
     LensParams,
     ProgressDistribution,
@@ -17,6 +19,7 @@ from fanetsim.geometry import (
 )
 
 from oracles import (
+    adaptive_quadrature as oracle_quadrature,
     lens_area_segments,
     mc_best_progress,
     mc_lens_area,
@@ -371,6 +374,90 @@ class TestAdaptiveQuadrature:
             adaptive_quadrature(
                 lambda x: math.sin(50.0 * x), 0.0, 10.0, rel_tol=1e-12, max_panels=3
             )
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("a", lambda f: adaptive_quadrature(f, math.nan, 1.0)),
+            ("a", lambda f: adaptive_quadrature(f, -math.inf, 1.0)),
+            ("b", lambda f: adaptive_quadrature(f, 0.0, math.nan)),
+            ("b", lambda f: adaptive_quadrature(f, 0.0, math.inf)),
+            ("rel_tol", lambda f: adaptive_quadrature(f, 0.0, 1.0, rel_tol=math.nan)),
+            ("rel_tol", lambda f: adaptive_quadrature(f, 0.0, 1.0, rel_tol=-1e-9)),
+            ("abs_tol", lambda f: adaptive_quadrature(f, 0.0, 1.0, abs_tol=math.nan)),
+            ("abs_tol", lambda f: adaptive_quadrature(f, 0.0, 1.0, abs_tol=-1.0)),
+            ("max_panels", lambda f: adaptive_quadrature(f, 0.0, 1.0, max_panels=0)),
+            ("rel_tol", lambda f: expected_progress(
+                ProgressDistribution(d=7500.0, r=5000.0, n_nodes=10, area_side=1e4),
+                rel_tol=math.nan,
+            )),
+        ],
+    )
+    def test_bad_input_rejected_before_any_work(self, monkeypatch, name, call):
+        # before, a NaN bound or tolerance ran the whole panel budget and
+        # then reported "no convergence"
+        calls = []
+        monkeypatch.setattr(geometry, "progress_cdf", lambda dist, y: calls.append(y))
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            call(calls.append)
+        assert calls == []
+
+
+def _quadrature_outcome(quadrature, f, *args, **kwargs) -> str:
+    """The result's exact bits, or the convergence failure's message."""
+    try:
+        return quadrature(f, *args, **kwargs).hex()
+    except QuadratureError as exc:
+        return f"QuadratureError: {exc}"
+
+
+class TestQuadratureMatchesOracle:
+    """The panel loop returns the oracle's float bit for bit, or fails with
+    its message; the oracle recomputes each child's one-panel sum."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["cubic", "sin", "kink", "progress"]),
+        a=st.floats(-10.0, 10.0),
+        width=st.floats(0.0, 20.0),
+        rel_tol=st.one_of(st.just(0.0), st.floats(1e-15, 1e-2)),
+        abs_tol=st.one_of(st.just(0.0), st.floats(1e-15, 1e-3)),
+        max_panels=st.integers(1, 200),
+        n_nodes=st.integers(1, 100),
+        d=st.floats(1_000.0, 14_000.0),
+    )
+    def test_random_integrands(self, kind, a, width, rel_tol, abs_tol,
+                               max_panels, n_nodes, d):
+        if kind == "progress":
+            dist = ProgressDistribution(d=d, r=5_000.0, n_nodes=n_nodes, area_side=1e4)
+            f = functools.partial(progress_cdf, dist)
+            a, width = a * 500.0, width * 500.0
+        else:
+            f = {
+                "cubic": lambda x: x**3 - 2.0 * x + 0.5,
+                "sin": math.sin,
+                "kink": lambda x: abs(x - 0.3),
+            }[kind]
+        new, old = (
+            _quadrature_outcome(q, f, a, a + width, rel_tol=rel_tol,
+                                abs_tol=abs_tol, max_panels=max_panels)
+            for q in (adaptive_quadrature, oracle_quadrature)
+        )
+        assert new == old
+
+    @pytest.mark.parametrize("n_nodes", [5, 10, 20, 50, 100])
+    def test_bounds_grid(self, n_nodes):
+        # each corridor's quadrature, at 28 distances in (R, sqrt(2)*L]
+        r, side = 5_000.0, 1e4
+        for k in range(1, 29):
+            d = r + (math.sqrt(2.0) * side - r) * k / 28
+            dist = ProgressDistribution(d=d, r=r, n_nodes=n_nodes, area_side=side)
+            f = functools.partial(progress_cdf, dist)
+            new, old = (
+                _quadrature_outcome(q, f, 0.0, r, rel_tol=1e-9, abs_tol=1e-12 * r)
+                for q in (adaptive_quadrature, oracle_quadrature)
+            )
+            assert new == old
 
 
 def test_mc_oracle_consistency():

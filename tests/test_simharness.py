@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fanetsim import analysis, simharness
 from fanetsim.analysis import NetworkParams, bounds_report, hop_bounds
@@ -524,6 +524,35 @@ class TestStderrScaling:
             ).stderr
         assert stderrs[25] / stderrs[100] == pytest.approx(2.0, rel=0.2)
         assert stderrs[100] / stderrs[400] == pytest.approx(2.0, rel=0.2)
+
+
+def _spread(n: int) -> list[float]:
+    # values over nine decades, so that the summation order shows in the bits
+    return [math.sin(i + 1.0) * 10.0 ** (i % 9 - 4) for i in range(n)]
+
+
+class TestMeanStderr:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=300))
+    @example(_spread(1))
+    @example(_spread(7))
+    @example(_spread(8))
+    @example(_spread(9))
+    @example(_spread(128))
+    @example(_spread(129))
+    @example(_spread(136))
+    def test_matches_numpy_bit_for_bit(self, values):
+        # numpy is the reference: its pairwise summation set the CSV bytes
+        a = np.array(values)
+        mean, stderr = simharness._mean_stderr(values)
+        assert mean.hex() == float(a.mean()).hex()
+        if len(values) < 2:
+            assert math.isnan(stderr)
+        else:
+            assert stderr.hex() == float(a.std(ddof=1) / math.sqrt(len(a))).hex()
+
+    def test_empty(self):
+        assert all(math.isnan(v) for v in simharness._mean_stderr([]))
 
 
 class TestCsv:
