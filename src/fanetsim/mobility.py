@@ -231,9 +231,7 @@ class Fleet:
     """
 
     def __init__(self, cfg: MobilityConfig, n: int, seed):
-        _check_count("n", n)
-        if n < 2:
-            raise ValueError(f"need at least 2 nodes, got {n!r}")
+        n = _check_count("n", n, 2)
         self.cfg = cfg
         # _words[stream][node]: a stream's seed words, split once into rows
         self._words = [list(rows) for rows in _stream_words(seed, n)]
@@ -379,9 +377,7 @@ def trajectory_rows(
     ``n`` and ``n_steps`` are checked on the call, before any row is
     produced.
     """
-    _check_count("n_steps", n_steps)
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps!r}")
+    n_steps = _check_count("n_steps", n_steps, 0)
     fleet = Fleet(cfg, n, seed)
 
     def rows():

@@ -8,11 +8,16 @@ from dataclasses import dataclass, fields
 __all__ = ["MobilityConfig"]
 
 _MAX_SIDES_PER_STEP = 1000  # mean travel per step, in square sides
+# Field -> whether it must be > 0 (True) or >= 0 (False)
+_STRICT_SIGN = {"area_side": True, "mean_speed": False, "mean_wait": True,
+                "time_step": True, "prediction_noise_var": False, "mean_turn_radius": True}
 
 
 @dataclass(frozen=True)
 class MobilityConfig:
-    """Motion model parameters; defaults follow the standard experiment setup."""
+    """Motion model parameters; defaults follow the standard experiment setup.
+    Each field is finite and signed as ``_STRICT_SIGN`` says, checked in
+    field order; ``transition_prob`` lies in [0, 1]."""
 
     area_side: float = 10_000.0
     mean_speed: float = 50.0
@@ -27,26 +32,12 @@ class MobilityConfig:
             v = getattr(self, f.name)
             if not math.isfinite(v):
                 raise ValueError(f"{f.name} must be finite, got {v!r}")
-        if self.area_side <= 0.0:
-            raise ValueError(f"area_side must be > 0, got {self.area_side!r}")
-        if self.mean_speed < 0.0:
-            raise ValueError(f"mean_speed must be >= 0, got {self.mean_speed!r}")
-        if self.mean_wait <= 0.0:
-            raise ValueError(f"mean_wait must be > 0, got {self.mean_wait!r}")
+            strict = _STRICT_SIGN.get(f.name)
+            if strict is not None and (v <= 0.0 if strict else v < 0.0):
+                raise ValueError(f"{f.name} must be {'>' if strict else '>='} 0, got {v!r}")
         if not (0.0 <= self.transition_prob <= 1.0):
             raise ValueError(
                 f"transition_prob must be in [0, 1], got {self.transition_prob!r}"
-            )
-        if self.time_step <= 0.0:
-            raise ValueError(f"time_step must be > 0, got {self.time_step!r}")
-        if self.prediction_noise_var < 0.0:
-            raise ValueError(
-                f"prediction_noise_var must be >= 0, "
-                f"got {self.prediction_noise_var!r}"
-            )
-        if self.mean_turn_radius <= 0.0:
-            raise ValueError(
-                f"mean_turn_radius must be > 0, got {self.mean_turn_radius!r}"
             )
         # Reflection folds off one wall per pass, so its cost grows with the
         # travel per step; past ~2**53 sides it would never end.
@@ -58,7 +49,11 @@ class MobilityConfig:
             )
 
 
-def _check_count(name: str, value) -> None:
-    """Reject a bool or a non-integral count; numpy integers pass."""
+def _check_count(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int``, after rejecting a bool, a non-integral
+    value (numpy integers pass) and a value below ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)

@@ -52,9 +52,6 @@ only to open a pool.
 Before it opens one, it imports ``mobility`` and ``topology`` (numpy with
 them), so the forked workers inherit them instead of each importing
 numpy, and it hands the workers their runs in about four chunks each.
-At the reference configs (``--runs 100``, seed 0) on a 2-CPU VM, a
-whole ``fanetsim fig3`` process takes 0.36 s with one worker and 0.27 s
-with two, and ``fig5`` 0.47 and 0.33 s (medians of 5 fresh processes).
 """
 
 from __future__ import annotations
@@ -162,14 +159,10 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("runs", "sessions_per_run", "seed", "max_hops", "workers"):
-            _check_count(name, getattr(self, name))
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs!r}")
-        if self.sessions_per_run < 1:
-            raise ValueError(
-                f"sessions_per_run must be >= 1, got {self.sessions_per_run!r}"
-            )
+        for name, minimum in (
+            ("runs", 1), ("sessions_per_run", 1), ("seed", 0), ("max_hops", 0), ("workers", 1)
+        ):
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), minimum))
         if not self.algorithms:
             raise ValueError("at least one algorithm required")
         for alg in self.algorithms:
@@ -181,18 +174,13 @@ class ExperimentConfig:
             raise ValueError(
                 f"dijkstra_weight {self.dijkstra_weight!r} is not a PathWeight"
             )
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers!r}")
-        if self.max_hops < 0:
-            raise ValueError(f"max_hops must be >= 0, got {self.max_hops!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.net.area_side != self.mobility.area_side:
             raise ValueError(
                 f"net.area_side {self.net.area_side!r} differs from "
                 f"mobility.area_side {self.mobility.area_side!r}"
             )
-        names = tuple(f.name for f in fields(NetworkParams) + fields(MobilityConfig))
+        names = tuple(dict.fromkeys(  # area_side is a field of both
+            f.name for f in fields(NetworkParams) + fields(MobilityConfig)))
         if self.sweep.name not in names:
             raise ValueError(
                 f"unknown sweep parameter {self.sweep.name!r}; "
@@ -580,10 +568,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _plain(value):
+    """``value`` for JSON: enums as values, sequences as lists, numbers as
+    Python's own."""
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return [_plain(v) for v in value]
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return int(value) if isinstance(value, numbers.Integral) else float(value)
     return value
 
 

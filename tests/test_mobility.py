@@ -389,10 +389,16 @@ def test_trajectory_rows_rejects_non_integer_counts(n, n_steps, name):
         trajectory_rows(MobilityConfig(), n, 0, n_steps)
 
 
-def test_numpy_integer_counts_accepted():
+def test_numpy_integer_counts_accepted(monkeypatch):
+    seen = []
+    stream_words = mobility._stream_words
+    monkeypatch.setattr(
+        mobility, "_stream_words", lambda seed, n: seen.append(n) or stream_words(seed, n)
+    )
     assert Fleet(MobilityConfig(), np.int64(3), 0).n_nodes == 3
     rows = list(trajectory_rows(MobilityConfig(), np.int32(3), 0, np.int64(2)))
     assert len(rows) == 3 * 3
+    assert [type(n) for n in seen] == [int, int]  # a fleet keeps its count as an int
 
 
 def _reference_run(cfg, n, seed, n_steps, order):

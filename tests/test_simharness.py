@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import multiprocessing
@@ -47,7 +48,14 @@ def small_config(**overrides):
 
 class TestConfigValidation:
     def test_unknown_sweep_parameter(self):
-        with pytest.raises(ValueError):
+        # each field is named once, though area_side is in both dataclasses
+        message = (
+            "unknown sweep parameter 'bogus'; expected one of ('n_nodes', "
+            "'area_side', 'comm_range', 'mean_speed', 'mean_wait', "
+            "'transition_prob', 'time_step', 'prediction_noise_var', "
+            "'mean_turn_radius')"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             small_config(sweep=SweepSpec("bogus", (1, 2)))
 
     def test_empty_sweep(self):
@@ -148,7 +156,26 @@ class TestConfigValidation:
             small_config(**{name: value})
 
     def test_numpy_integer_fields_accepted(self):
-        assert small_config(runs=np.int64(2), seed=np.int32(3)).runs == 2
+        counts = dict(runs=2, sessions_per_run=4, seed=3, max_hops=7, workers=1)
+        cfg = small_config(**{k: np.int64(v) for k, v in counts.items()})
+        # stored as Python ints, which the provenance JSON can write
+        assert {k: (type(getattr(cfg, k)), getattr(cfg, k)) for k in counts} == {
+            k: (int, v) for k, v in counts.items()
+        }
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(runs=np.int64(1)),
+            dict(runs=1, seed=np.int64(3)),
+            dict(runs=1, sweep=SweepSpec("n_nodes", (np.int64(5),))),
+            dict(runs=1, algorithms=[Algorithm.GREEDY_PREDICTIVE]),
+        ],
+        ids=["numpy_runs", "numpy_seed", "numpy_sweep_value", "algorithm_list"],
+    )
+    def test_provenance_accepts_every_accepted_config(self, overrides):
+        config = json.loads(run_experiment(small_config(**overrides)).provenance())["config"]
+        assert config["runs"] == 1 and config["algorithms"] == ["greedy_predictive"]
 
     def test_area_sides_must_agree(self):
         with pytest.raises(ValueError, match="area_side"):
@@ -178,9 +205,11 @@ class TestConfigValidation:
             (small_config, {"sessions_per_run": 0}, "sessions_per_run must be >= 1, got 0"),
             (small_config, {"algorithms": ()}, "at least one algorithm required"),
             (small_config, {"workers": 0}, "workers must be >= 1, got 0"),
+            (functools.partial(Fleet, MobilityConfig(), seed=0), {"n": 1},
+             "n must be >= 2, got 1"),
         ],
         ids=["mean_speed", "prediction_noise_var", "mean_turn_radius",
-             "sessions_per_run", "algorithms", "workers"],
+             "sessions_per_run", "algorithms", "workers", "fleet_n"],
     )
     def test_out_of_range_rejected(self, build, kwargs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
