@@ -238,9 +238,8 @@ def _cmd_route(args) -> int:
         f"session: source={out.source} dest={out.destination} "
         f"D0={out.initial_distance:.1f} m algorithm={algorithm.value}"
     )
-    remaining = out.initial_distance
     for i, hop in enumerate(out.hops, start=1):
-        remaining -= hop.progress
+        remaining = trace.snapshot(i).distance(hop.dst, dest)  # where hop i lands
         print(
             f"hop {i} t={hop.time:g}: {hop.src} -> {hop.dst} "
             f"link={hop.tx_distance:.1f} m remaining={remaining:.1f} m"

@@ -8,22 +8,22 @@ step's predicted positions, which estimate where nodes will be when the
 packet lands one time step later, while the static variant keeps deciding
 on the snapshot frozen at session start.  Either scores its candidates
 against the destination's position in the snapshot it decides on.  A hop
-choice takes its candidates from one
-``ContactSnapshot.neighbors`` call and scores them with ``math.hypot`` on
-plain floats read through the snapshot's flat predicted-position view,
-the same doubles a numpy read gives; it scans the set unsorted and breaks
-equal distances toward the lowest index itself.  The Dijkstra baseline
-plans its whole path once on the session-start true positions and never
-replans.  It searches with A* toward the destination for ``distance``
-weights and with plain Dijkstra for ``distance_squared``; both return a
-minimum-weight path, and only the choice among paths of exactly equal
-weight may differ from an uninformed Dijkstra's.  The A* heuristic of a
+choice takes its candidates from one ``ContactSnapshot.neighbors`` call
+and scores them with ``math.hypot`` on plain floats read through the
+snapshot's flat predicted-position view, the same doubles a numpy read
+gives; it scans the row in ascending index order and keeps a candidate
+only if strictly closer, so equal distances go to the lowest index.  The
+Dijkstra baseline plans its whole path once on the session-start true
+positions and never replans.  It searches with A* toward the destination
+for ``distance`` weights and with plain Dijkstra for ``distance_squared``;
+both return a minimum-weight path, and only the choice among paths of
+exactly equal weight may differ from an uninformed Dijkstra's.  The A* heuristic of a
 node is its ``distance`` to the destination, bit for bit, taken with
 ``math.hypot`` through the flat true-position view for the source and
 for each node the search pushes, not for the whole snapshot.  It reads
 the snapshot's true-position link table directly: ascending neighbor
 rows with their ``math.hypot`` lengths, built whole by the first search
-(or ``links``/``neighbors`` call) on that snapshot and shared by every
+(or true-position ``neighbors`` call) on that snapshot and shared by every
 later one.  It keeps its per-node state in lists and a bytearray indexed
 by node.
 Whatever positions the decision used, link validity and all metrics
@@ -128,8 +128,6 @@ def greedy_next_hop(snap: ContactSnapshot, current: int, dest: int) -> int | Non
     if not (type(dest) is int and 0 <= dest < snap.n_nodes):
         snap._check_index(dest)
     nbrs = snap.neighbors(current, use_predicted=True)
-    if not nbrs:
-        return None
     if dest in nbrs:
         return dest
     m = snap._predicted_xy
@@ -137,9 +135,9 @@ def greedy_next_hop(snap: ContactSnapshot, current: int, dest: int) -> int | Non
     hypot = math.hypot
     best = None
     best_d = hypot(m[2 * current] - tx, m[2 * current + 1] - ty)
-    for j in nbrs:  # set order: equal distances go to the lowest index
+    for j in nbrs:  # ascending: equal distances keep the lowest index
         dj = hypot(m[2 * j] - tx, m[2 * j + 1] - ty)
-        if dj <= best_d and (dj < best_d or best is not None and j < best):
+        if dj < best_d:
             best, best_d = j, dj
     return best
 

@@ -134,6 +134,7 @@ class SweepSpec:
     values: tuple
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise ValueError("sweep values must be non-empty")
         for i, value in enumerate(self.values):
@@ -163,6 +164,7 @@ class ExperimentConfig:
             ("runs", 1), ("sessions_per_run", 1), ("seed", 0), ("max_hops", 0), ("workers", 1)
         ):
             object.__setattr__(self, name, _check_count(name, getattr(self, name), minimum))
+        object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if not self.algorithms:
             raise ValueError("at least one algorithm required")
         for alg in self.algorithms:

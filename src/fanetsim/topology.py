@@ -5,16 +5,16 @@ accounting and link validity) and the predicted positions (used for
 forwarding decisions).  Neighborhoods follow the unit-disk rule: an edge
 exists iff the Euclidean distance is at most the transmission radius,
 boundary inclusive.  On the true positions a snapshot keeps one link
-table, built whole the first time any true row is read (``links``,
-``neighbors(i)`` or the shortest-path search): numpy scans the squared
-distances of 16 nodes at a time against all others, and the table keeps
+table, built whole the first time any true row is read (``neighbors(i)``
+or the shortest-path search): numpy scans the squared distances of 16
+nodes at a time against all others, and the table keeps
 each node's ascending neighbor indices as an ``array('l')`` with their
 lengths as an ``array('d')``.  Each length is ``math.hypot`` of the
 coordinate differences, as ``distance`` takes it, bit for bit;
 ``np.hypot`` rounds differently in about 0.6% of pairs.  Predicted rows
 are built one node at a time, on first use, by one scan over the x and y
-columns, and kept.  ``neighbors`` returns a new set of a kept row on
-every call.  Positions are stored as C-ordered float64 ``(n, 2)``
+columns, and kept.  ``neighbors`` returns a kept row as a new list,
+ascending.  Positions are stored as C-ordered float64 ``(n, 2)``
 arrays, and each has a flat ``memoryview`` (``[x0, y0, x1, y1, ...]``)
 through which per-pair arithmetic reads plain Python floats: the same
 doubles, without numpy scalar overhead.  Node indices must be integers
@@ -159,24 +159,17 @@ class ContactSnapshot:
             object.__setattr__(self, "_table", table)
         return table
 
-    def neighbors(self, i: int, use_predicted: bool = False) -> set[int]:
-        """All nodes within comm_range of node i (excluding i itself)."""
+    def neighbors(self, i: int, use_predicted: bool = False) -> list[int]:
+        """All nodes within comm_range of node i (excluding i itself), as a
+        new list in ascending index order."""
         if not (type(i) is int and 0 <= i < self.n_nodes):
             self._check_index(i)
         if not use_predicted:
-            return set(self._link_table()[0][i])
+            return self._link_table()[0][i].tolist()
         row = self._predicted_rows.get(i)
         if row is None:
             row = self._predicted_rows[i] = self._row(i)
-        return set(row)
-
-    def links(self, i: int):
-        """``(j, distance(i, j))`` over node i's true-position neighbors, bit
-        for bit (``hypot`` reads only magnitudes), from the link table."""
-        if not (type(i) is int and 0 <= i < self.n_nodes):
-            self._check_index(i)
-        rows, lengths = self._link_table()
-        return zip(rows[i], lengths[i])
+        return row.tolist()
 
 
 class NetworkTrace:

@@ -535,6 +535,16 @@ class TestRouteCommand:
         if "status: delivered" in out:
             assert remaining[-1] == pytest.approx(0.0, abs=1e-3)
 
+    @pytest.mark.parametrize("seed, n", [(1, 10), (17, 20)])
+    def test_moving_remaining_is_the_landing_distance(self, capsys, seed, n):
+        # remaining used to be D0 minus the summed progress, which drifts
+        # as the destination moves: seed 1 printed -11.5 m on delivery
+        assert main(["route", "--seed", str(seed), "--n", str(n)]) == 0
+        out = capsys.readouterr().out
+        remaining = re.findall(r"remaining=([0-9.\-]+) m", out)
+        assert "status: delivered" in out and remaining[-1] == "0.0"
+        assert all(float(r) >= 0.0 for r in remaining)
+
     def test_all_algorithms_run(self, capsys):
         for alg in ("greedy_predictive", "greedy_static", "dijkstra_static"):
             code = main(["route", "--seed", "5", "--n", "8", "--algorithm", alg])

@@ -351,7 +351,7 @@ class TestRouteDijkstra:
         pos[59] = (50_000.0, 50_000.0)  # unreachable: the search covers 0's component
         snap = snap_from(pos, comm_range=2_500.0)
         calls = Counter()
-        for name in ("distance", "neighbors", "links", "_row", "_build_table"):
+        for name in ("distance", "neighbors", "_row", "_build_table"):
             original = getattr(ContactSnapshot, name)
 
             def counted(self, *args, _name=name, _original=original, **kwargs):

@@ -215,7 +215,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build(**kwargs)
 
-    @pytest.mark.parametrize("values", [(10, 10.0), (5.0, 10, 5)])
+    # an array used to raise numpy's "truth value ... is ambiguous"
+    @pytest.mark.parametrize("values", [(10, 10.0), (5.0, 10, 5), np.array([5, 10, 5])])
     def test_repeated_sweep_value_rejected(self, values):
         # equal values would share one cell's key in cell_mean_d,
         # session_counts and the provenance, while the CSV kept both cells
@@ -226,6 +227,21 @@ class TestConfigValidation:
         # it would double the CSV rows and the attempted session counts
         with pytest.raises(ValueError, match="twice"):
             small_config(algorithms=(Algorithm.GREEDY_PREDICTIVE,) * 2)
+
+    def test_sequences_are_stored_as_tuples(self):
+        # the caller's lists used to be kept: the frozen config did not
+        # hash, and appending after construction got past the duplicate
+        # checks, so one cell wrote 8 CSV rows with repeated keys
+        algorithms, values = [Algorithm.GREEDY_PREDICTIVE], [8]
+        cfg = small_config(sweep=SweepSpec("n_nodes", values), algorithms=algorithms, runs=1)
+        algorithms.append(Algorithm.GREEDY_PREDICTIVE)
+        values.append(8)
+        assert cfg.algorithms == (Algorithm.GREEDY_PREDICTIVE,)
+        assert cfg.sweep.values == (8,)
+        assert hash(cfg) == hash(small_config(sweep=SweepSpec("n_nodes", (8,)), runs=1))
+        keys = [(r.value, r.algorithm, r.metric) for r in run_experiment(cfg).rows]
+        assert len(keys) == len(set(keys)) == 4
+        assert SweepSpec("n_nodes", np.array([5, 10])).values == (5, 10)
 
 
 class TestDeterminism:

@@ -61,12 +61,12 @@ class TestContactSnapshot:
 
     def test_boundary_distance_is_neighbor(self):
         snap = snap_from([(0.0, 0.0), (4_000.0, 0.0)], comm_range=4_000.0)
-        assert snap.neighbors(0) == {1}
-        assert snap.neighbors(1) == {0}
+        assert snap.neighbors(0) == [1]
+        assert snap.neighbors(1) == [0]
 
     def test_single_node_has_no_neighbors(self):
         snap = snap_from([(5.0, 5.0)])
-        assert snap.neighbors(0) == set()
+        assert snap.neighbors(0) == []
 
     def test_neighbors_match_brute_force(self):
         rng = np.random.default_rng(10)
@@ -80,7 +80,8 @@ class TestContactSnapshot:
             i = int(rng.integers(n))
             for use_predicted, p in ((False, pos), (True, pred)):
                 got = snap.neighbors(i, use_predicted)
-                assert got == brute_force_neighbors(p, i, r)
+                assert type(got) is list
+                assert got == sorted(brute_force_neighbors(p, i, r))
                 assert all(type(j) is int for j in got)
 
     def test_neighbor_symmetry(self):
@@ -96,8 +97,8 @@ class TestContactSnapshot:
         true_pos = [(0.0, 0.0), (3_000.0, 0.0), (9_000.0, 0.0)]
         pred_pos = [(0.0, 0.0), (8_000.0, 0.0), (3_500.0, 0.0)]
         snap = snap_from(true_pos, comm_range=4_000.0, predicted=pred_pos)
-        assert snap.neighbors(0, use_predicted=False) == {1}
-        assert snap.neighbors(0, use_predicted=True) == {2}
+        assert snap.neighbors(0, use_predicted=False) == [1]
+        assert snap.neighbors(0, use_predicted=True) == [2]
 
     def test_equality_and_hashing_by_identity(self):
         # a generated __eq__ compared the position arrays, so == raised
@@ -113,7 +114,8 @@ class TestContactSnapshot:
 
 class TestKeptRows:
     """Each neighbor row is built once per (node, position set) and kept;
-    every call still returns a fresh set equal to the brute-force scan."""
+    every call still returns a fresh list, the brute-force scan in
+    ascending order."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -137,17 +139,21 @@ class TestKeptRows:
             for _ in range(2):
                 for i in range(n):
                     got = snap.neighbors(i, use_predicted)
-                    assert got == brute_force_neighbors(p, i, r)
+                    assert got == sorted(brute_force_neighbors(p, i, r))
                     assert all(type(j) is int for j in got)
 
-    def test_mutating_a_returned_set_does_not_reach_the_row(self):
+    def test_mutating_a_returned_list_does_not_reach_the_row(self):
         snap = snap_from([(0, 0), (1_000, 0), (2_000, 0)])
         for use_predicted in (False, True):
             first = snap.neighbors(0, use_predicted)
-            first.add(99)
-            first.discard(1)
-            assert snap.neighbors(0, use_predicted) == {1, 2}
-        assert dict(snap.links(0)) == {1: 1_000.0, 2: 2_000.0}
+            first.append(99)
+            first.remove(1)
+            first.reverse()
+            assert snap.neighbors(0, use_predicted) == [1, 2]
+            assert snap.neighbors(0, use_predicted) is not snap.neighbors(0, use_predicted)
+        rows, lengths = snap._link_table()
+        assert (rows[0].tolist(), lengths[0].tolist()) == ([1, 2], [1_000.0, 2_000.0])
+        assert snap._predicted_rows[0].tolist() == [1, 2]
 
     def test_each_row_is_built_once_per_position_set(self, monkeypatch):
         # the true rows come from one link table per snapshot, the
@@ -172,20 +178,19 @@ class TestKeptRows:
             for i in range(15):
                 snap.neighbors(i)
                 snap.neighbors(i, use_predicted=True)
-                list(snap.links(i))  # shares the true-position table
+                route_dijkstra(snap, i, (i + 1) % 15)  # shares the true-position table
                 greedy_next_hop(snap, i, (i + 1) % 15)
         assert built == {"table": 1, **{i: 1 for i in range(15)}}
 
     @pytest.mark.parametrize("bad", [1.0, True, np.float64(1.0), "1", None])
     def test_non_integer_index_rejected(self, bad):
         snap = snap_from([(0, 0), (1_000, 0), (2_000, 0)])
+        # node 1's rows are kept: a float key would hit them
         snap.neighbors(1)
         snap.neighbors(1, use_predicted=True)
-        list(snap.links(1))  # node 1's rows are kept: a float key would hit them
         for call in (
             lambda: snap.neighbors(bad),
             lambda: snap.neighbors(bad, use_predicted=True),
-            lambda: snap.links(bad),
             lambda: snap.distance(bad, 2),
             lambda: snap.distance(2, bad),
             lambda: greedy_next_hop(snap, 0, bad),
@@ -196,8 +201,8 @@ class TestKeptRows:
     def test_numpy_integer_index_reads_the_same_row(self):
         snap = snap_from([(0, 0), (1_000, 0), (2_000, 0)], comm_range=1_500.0)
         for i in (np.int64(1), np.int32(1), np.intp(1)):
-            assert snap.neighbors(i) == snap.neighbors(1) == {0, 2}
-            assert dict(snap.links(i)) == dict(snap.links(1))
+            assert snap.neighbors(i) == snap.neighbors(1) == [0, 2]
+            assert snap.neighbors(i, use_predicted=True) == [0, 2]
             assert snap.distance(i, np.int64(2)) == snap.distance(1, 2)
 
 
@@ -224,11 +229,12 @@ class TestLinkTable:
             pos[b] = pos[a] + (sx * 3.0 * k, sy * 4.0 * k)
         pos[(a + 1) % n] = pos[a]  # and one node on top of a
         snap = snap_from(pos, comm_range=r)
+        rows, lengths = snap._link_table()
         for i in range(n):
-            row = list(snap.links(i))
-            assert [j for j, _ in row] == sorted(brute_force_neighbors(pos, i, r))
-            assert [w for _, w in row] == [snap.distance(i, j) for j, _ in row]
-            assert snap.neighbors(i) == {j for j, _ in row}
+            row = rows[i].tolist()
+            assert row == sorted(brute_force_neighbors(pos, i, r))
+            assert lengths[i].tolist() == [snap.distance(i, j) for j in row]
+            assert snap.neighbors(i) == row
 
     @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
     def test_boundary_and_coincident_points(self, n):
@@ -236,12 +242,11 @@ class TestLinkTable:
         r = 3_000.0
         pos = np.array([(r * (i // 2), 0.0) for i in range(n)])
         snap = snap_from(pos, comm_range=r)
+        rows, lengths = snap._link_table()
         for i in range(n):
-            expected = {j for j in range(n) if j != i and abs(j // 2 - i // 2) <= 1}
-            assert snap.neighbors(i) == expected
-            assert dict(snap.links(i)) == {
-                j: 0.0 if j // 2 == i // 2 else r for j in expected
-            }
+            expected = [j for j in range(n) if j != i and abs(j // 2 - i // 2) <= 1]
+            assert snap.neighbors(i) == rows[i].tolist() == expected
+            assert lengths[i].tolist() == [0.0 if j // 2 == i // 2 else r for j in expected]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_lengths_are_distances_bit_for_bit(self, seed):
@@ -250,17 +255,18 @@ class TestLinkTable:
         n = 3 * _BLOCK + 5
         pos = rng.uniform(0, 10_000, size=(n, 2))
         snap = snap_from(pos, comm_range=4_000.0)
+        rows, lengths = snap._link_table()
         for i in range(n):
-            for j, w in snap.links(i):
+            for j, w in zip(rows[i], lengths[i]):
                 assert w.hex() == snap.distance(i, j).hex() == snap.distance(j, i).hex()
 
     def test_first_reader_does_not_change_the_table(self):
         rng = np.random.default_rng(12)
         pos = rng.uniform(0, 10_000, size=(2 * _BLOCK + 3, 2))
-        by_neighbors, by_links = snap_from(pos), snap_from(pos)
+        by_neighbors, by_next_row = snap_from(pos), snap_from(pos)
         by_neighbors.neighbors(_BLOCK)
-        list(by_links.links(_BLOCK + 1))
-        assert by_neighbors._table == by_links._table
+        by_next_row.neighbors(_BLOCK + 1)
+        assert by_neighbors._table == by_next_row._table
         fresh = snap_from(pos)  # its first search builds the table
         for s in range(0, len(pos), 5):
             for d in range(len(pos)):
@@ -268,7 +274,7 @@ class TestLinkTable:
                     for weight in PathWeight:
                         path = route_dijkstra(fresh, s, d, weight)
                         assert route_dijkstra(by_neighbors, s, d, weight) == path
-                        assert route_dijkstra(by_links, s, d, weight) == path
+                        assert route_dijkstra(by_next_row, s, d, weight) == path
 
 
 class TestPositionStorage:
@@ -311,11 +317,12 @@ class TestPositionStorage:
             assert pos.dtype == np.float64 and pos.flags.c_contiguous
         assert np.array_equal(snap.true_positions, true_pos)
         assert np.array_equal(snap.predicted_positions, pred_pos)
+        assert snap._link_table() == ref._link_table()
         for i in range(n):
             assert [snap.distance(i, j) for j in range(n)] == [
                 ref.distance(i, j) for j in range(n)
             ]
-            assert list(snap.links(i)) == list(ref.links(i))
+            assert snap.neighbors(i, use_predicted=True) == ref.neighbors(i, use_predicted=True)
             for dest in range(n):
                 if dest != i:
                     assert greedy_next_hop(snap, i, dest) == greedy_next_hop(
@@ -324,6 +331,9 @@ class TestPositionStorage:
 
 
 class TestLinks:
+    """The link table's rows, which the shortest-path search reads, pair
+    each true-position neighbor with its distance."""
+
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.integers(2, 40),
@@ -339,25 +349,21 @@ class TestLinks:
         r = 5.0 * k
         pos[1] = pos[0] + (sx * 3.0 * k, sy * 4.0 * k)
         snap = snap_from(pos, comm_range=r, predicted=rng.uniform(0, 10_000, (n, 2)))
-        assert dict(snap.links(0))[1] == r
+        rows, lengths = snap._link_table()
+        assert dict(zip(rows[0], lengths[0]))[1] == r
         for i in range(n):
-            got = dict(snap.links(i))
+            got = dict(zip(rows[i], lengths[i]))
             assert got == {j: snap.distance(i, j) for j in snap.neighbors(i)}
-            assert dict(snap.links(i)) == got  # the kept row reads the same
+            assert snap._link_table()[0][i] is rows[i]  # the kept row
             assert all(type(j) is int and type(w) is float for j, w in got.items())
 
     def test_links_ignore_predicted_positions(self):
         true_pos = [(0.0, 0.0), (3_000.0, 0.0), (9_000.0, 0.0)]
         pred_pos = [(0.0, 0.0), (8_000.0, 0.0), (3_500.0, 0.0)]
         snap = snap_from(true_pos, comm_range=4_000.0, predicted=pred_pos)
-        assert dict(snap.links(0)) == {1: 3_000.0}
-        assert dict(snap.links(2)) == {}
-
-    def test_index_errors(self):
-        snap = snap_from([(0, 0), (1, 1)])
-        for i in (2, -1):
-            with pytest.raises(IndexError):
-                snap.links(i)
+        rows, lengths = snap._link_table()
+        assert dict(zip(rows[0], lengths[0])) == {1: 3_000.0}
+        assert dict(zip(rows[2], lengths[2])) == {}
 
 
 class TestTrace:
