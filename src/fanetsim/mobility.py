@@ -10,18 +10,17 @@ inside the deployment square by specular reflection.
 Every random draw comes from a per-node stream derived from
 (seed, node_id, stream), so trajectories are bitwise reproducible and
 nodes can be stepped independently in any order; these streams are the
-reproducibility contract.  ``Fleet`` steps the whole deployment as
-arrays (kinematics, reflection and prediction are a few array operations
-per step) and draws from a node's stream only when that node renews or
-is predicted with noise.  It seeds all of its streams in one array pass
-over SeedSequence's hashing, whose key-word terms are cached per hash
-constant and node count; each stream is bit for bit
+reproducibility contract.  ``Fleet`` steps the deployment node by node
+over plain Python floats (at paper scale a numpy call costs more than
+the arithmetic it does) and draws from a node's stream only when that
+node renews or is predicted with noise.  It seeds all of its streams in
+one array pass over SeedSequence's hashing, whose key-word terms are
+cached per hash constant and node count; each stream is bit for bit
 ``default_rng(SeedSequence(seed, spawn_key=(node_id, stream)))``, built
 from its own row of seed words.  Prediction noise is drawn eight
 predictions ahead, one ``standard_normal`` call per node into one block,
 scaled by sigma once: the bits of ``normal(0.0, sigma)``.  The
-deployment and every renewal share one draw loop, ``_renewals``, which
-makes each node's scalar ``Generator`` calls in its stream's order.  A
+deployment and every renewal share one draw loop, ``Fleet._renew``.  A
 prediction extrapolates one time step, to a hop's landing time, so a
 step's kinematics are evaluated once: the prediction keeps its
 displacement, and the next ``advance`` moves the fleet by it.  The
@@ -35,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from enum import Enum
 from itertools import repeat
 from typing import TYPE_CHECKING, Iterator
@@ -155,79 +155,36 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
-def _renewals(
-    cfg: MobilityConfig,
-    rngs: list[np.random.Generator],
-    linear: list[bool],
-    switch_prob: float,
-) -> Iterator[tuple]:
-    """Columns ``(linear, speed, sojourn, heading, turn_radius, phase,
-    angular_speed)`` of one renewal per generator in ``rngs``, the loop of
-    both the deployment and ``Fleet._renew``.  Each node leaves its mode in
-    ``linear`` with ``switch_prob``, then redraws every parameter; fields
-    its new mode does not use are 0.  All draws are scalar ``Generator``
-    calls, cheaper than one call per node with ``size``.
-
-    ``m * standard_exponential()`` and ``2pi * random()`` are bit for bit
-    ``exponential(m)`` and ``uniform(0, 2pi)``, at about half the cost.
-    """
-    mean_speed, mean_wait = cfg.mean_speed, cfg.mean_wait
-    mean_turn_radius = cfg.mean_turn_radius
-    rows = []
-    for rng, lin in zip(rngs, linear):
-        random, exp = rng.random, rng.standard_exponential
-        if random() < switch_prob:
-            lin = not lin
-        speed = mean_speed * exp() if mean_speed > 0 else 0.0
-        sojourn = mean_wait * exp()
-        if sojourn <= 0.0:  # exponential draw can underflow to exactly 0
-            sojourn = 1e-9
-        if lin:
-            rows.append((True, speed, sojourn, _TWO_PI * random(), 0.0, 0.0, 0.0))
-            continue
-        turn_radius = max(mean_turn_radius * exp(), 1e-6)
-        phase = _TWO_PI * random()
-        direction = 1.0 if random() < 0.5 else -1.0
-        omega = direction * speed / turn_radius
-        rows.append((False, speed, sojourn, 0.0, turn_radius, phase, omega))
-    return zip(*rows)
-
-
-def _unit(angle: np.ndarray) -> np.ndarray:
-    """Rows ``cos a`` and ``sin a``.  ``tests/test_mobility.py`` checks
-    that numpy's cos/sin give ``math``'s results, as the per-node reference
-    in ``tests/oracles.py`` uses."""
-    return np.array((np.cos(angle), np.sin(angle)))
-
-
-def _fold_all(v: np.ndarray, side: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """Reflect every coordinate into [0, side]: the reflected coordinates and
-    whether each one reflected an odd number of times (its velocity component
-    then mirrors), or None if all stayed inside."""
-    out = (v < 0.0) | (v > side)
-    if not out.any():
-        return v, None
-    flipped = np.zeros_like(out)
-    while out.any():
-        flipped ^= out
-        v = np.where(v < 0.0, -v, np.where(v > side, 2.0 * side - v, v))
-        out = (v < 0.0) | (v > side)
+def _fold(v: float, side: float) -> tuple[float, bool]:
+    """Reflect a coordinate into [0, side]; flag whether it reflected an odd
+    number of times (its velocity component then mirrors)."""
+    flipped = False
+    while v < 0.0 or v > side:
+        v = -v if v < 0.0 else 2.0 * side - v
+        flipped = not flipped
     return v, flipped
+
+
+def _positions(xs: list[float], ys: list[float]) -> np.ndarray:
+    """``(n, 2)`` float64 positions over one interleaved buffer."""
+    xy = [0.0] * (2 * len(xs))
+    xy[::2], xy[1::2] = xs, ys
+    return np.frombuffer(array("d", xy)).reshape(-1, 2)
 
 
 class Fleet:
     """All nodes of one deployment, advancing in lock-step.
 
-    State is held as one array per quantity (position, mode, speed,
-    sojourn, heading, turn radius, orbit phase, signed angular speed, time
-    in state), so a step moves every node in a few array operations with
-    the same float operations as the per-node reference in
-    ``tests/oracles.py``.  Random draws stay per node:
-    each node has its own motion stream, created at its first renewal, and
-    its own prediction-noise stream, so a fixed seed reproduces
-    trajectories exactly regardless of what else is sampled around the
-    fleet.  The seed words of all three streams of every node are hashed
-    at once on construction (``_stream_words``).
+    State is one list of floats per quantity (x, y, mode, speed, sojourn,
+    heading, turn radius, orbit phase, signed angular speed, time in
+    state), stepped node by node with ``math`` in the float operations of
+    the per-node reference in ``tests/oracles.py``.  A linear node keeps
+    its step offset, recomputed only when it renews or reflects, so its
+    step makes no trig call.  Each node has its own motion stream, made
+    at its first renewal, and its own prediction-noise stream, so a fixed
+    seed reproduces trajectories exactly regardless of what else is
+    sampled around the fleet.  The seed words of all three streams of
+    every node are hashed at once on construction (``_stream_words``).
     """
 
     def __init__(self, cfg: MobilityConfig, n: int, seed):
@@ -239,25 +196,20 @@ class Fleet:
         # out of circular with probability 1/2, then the mode's parameters.
         init = [self._rng(i, _STREAM_INIT) for i in range(n)]
         side = cfg.area_side
-        xy = [(side * g.random(), side * g.random()) for g in init]
-        self._xy = np.array(xy).T.copy()  # row 0 is x, row 1 is y
-        (
-            self._linear,
-            self._speed,
-            self._sojourn,
-            self._heading,
-            self._turn_radius,
-            self._phase,
-            self._angular_speed,
-        ) = map(np.array, _renewals(cfg, init, [False] * n, 0.5))
-        self._time_in_state = np.zeros(n)
+        self._x = [side * g.random() for g in init]
+        self._y = [side * g.random() for g in init]
+        self._linear = [False] * n
+        # _dx and _dy are a linear node's kept step offset (see _aim)
+        (self._speed, self._sojourn, self._heading, self._turn_radius, self._phase,
+         self._angular_speed, self._time_in_state, self._dx, self._dy) = (
+            [0.0] * n for _ in range(9))
+        self._renew(range(n), init, 0.5)
         self._motion_rngs: list[np.random.Generator | None] = [None] * n
         self._noise_rngs = [self._rng(i, _STREAM_NOISE) for i in range(n)]
         self._noise_block = np.empty((n, 0, 2))  # [node, step, axis], drawn ahead
         self._noise_next = 0  # the block's next unread step
-        # _displace(time_step) of the current state, kept by a prediction
-        # for the next advance
-        self._ahead: tuple[np.ndarray, np.ndarray] | None = None
+        # _displace() of the current state, kept by a prediction for advance
+        self._ahead: tuple[list, list, list] | None = None
         self.time = 0.0
 
     def _rng(self, node_id: int, stream: int) -> np.random.Generator:
@@ -269,72 +221,113 @@ class Fleet:
     def n_nodes(self) -> int:
         return len(self._linear)
 
-    def _displace(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """Raw positions and orbit phases of every node after dt, before
-        boundary handling."""
-        phase = self._phase
-        new_phase = phase + self._angular_speed * dt
-        line = self._speed * dt * _unit(self._heading)
-        arc = self._turn_radius * (_unit(new_phase) - _unit(phase))
-        return self._xy + np.where(self._linear, line, arc), new_phase
+    def _renew(self, due, rngs: list, switch_prob: float) -> None:
+        """The Markov renewal of each due node i, written into its state:
+        leave the mode with ``switch_prob``, then redraw every parameter
+        from stream ``rngs[i]`` (a motion stream is made at the node's first
+        renewal) in scalar ``Generator`` calls; fields the new mode does
+        not use are 0.  ``m * standard_exponential()`` and ``2pi *
+        random()`` are bit for bit ``exponential(m)`` and ``uniform(0,
+        2pi)``, at about half the cost."""
+        cfg = self.cfg
+        mean_speed, mean_wait = cfg.mean_speed, cfg.mean_wait
+        mean_turn_radius = cfg.mean_turn_radius
+        linear, speeds, sojourns = self._linear, self._speed, self._sojourn
+        headings, radii, phases = self._heading, self._turn_radius, self._phase
+        omegas, time_in_state = self._angular_speed, self._time_in_state
+        for i in due:
+            rng = rngs[i]
+            if rng is None:
+                rng = rngs[i] = self._rng(i, _STREAM_MOTION)
+            random, exp = rng.random, rng.standard_exponential
+            if random() < switch_prob:
+                linear[i] = not linear[i]
+            speed = speeds[i] = mean_speed * exp() if mean_speed > 0 else 0.0
+            sojourn = mean_wait * exp()
+            if sojourn <= 0.0:  # exponential draw can underflow to exactly 0
+                sojourn = 1e-9
+            sojourns[i] = sojourn
+            time_in_state[i] = 0.0
+            if linear[i]:
+                radii[i] = phases[i] = omegas[i] = 0.0
+                self._aim(i, _TWO_PI * random())
+                continue
+            radius = radii[i] = max(mean_turn_radius * exp(), 1e-6)
+            headings[i] = 0.0
+            phases[i] = _TWO_PI * random()
+            direction = 1.0 if random() < 0.5 else -1.0
+            omegas[i] = direction * speed / radius
+
+    def _displace(self) -> tuple[list, list, list]:
+        """Every node's raw position one time step ahead, before boundary
+        handling, and its orbit phase then, wrapped into [0, 2pi)."""
+        dt = self.cfg.time_step
+        cos, sin = math.cos, math.sin
+        xs, ys, phases = [], [], []
+        for x, y, linear, dx, dy, radius, phase, omega in zip(
+            self._x, self._y, self._linear, self._dx, self._dy,
+            self._turn_radius, self._phase, self._angular_speed,
+        ):
+            if linear:
+                xs.append(x + dx)
+                ys.append(y + dy)
+                phases.append(phase)
+                continue
+            new_phase = phase + omega * dt
+            xs.append(x + radius * (cos(new_phase) - cos(phase)))
+            ys.append(y + radius * (sin(new_phase) - sin(phase)))
+            phases.append(new_phase % _TWO_PI)
+        return xs, ys, phases
 
     def advance(self) -> None:
         """Advance every node by one time step: move, reflect off the walls
         (heading mirrored; orbit phase mirrored and spin reversed), then
         renew each node whose time in state reaches its sojourn."""
-        dt = self.cfg.time_step
+        cfg = self.cfg
+        dt, side = cfg.time_step, cfg.area_side
         ahead, self._ahead = self._ahead, None
-        xy, phase = self._displace(dt) if ahead is None else ahead
-        # Linear nodes keep phase and spin 0, so this leaves their phase 0.
-        phase %= _TWO_PI
-        xy, flipped = _fold_all(xy, self.cfg.area_side)
-        if flipped is not None:
-            fx, fy = flipped
-            turned = fx | fy
-            linear, circular = self._linear, ~self._linear
-            heading = np.where(fx, math.pi - self._heading, self._heading)
-            heading = np.where(fy, -heading, heading)
-            self._heading = np.where(
-                linear & turned, heading % _TWO_PI, self._heading
-            )
-            mirrored = np.where(fx, math.pi - phase, phase)
-            mirrored = np.where(fy, -mirrored, mirrored)
-            phase = np.where(circular & turned, mirrored % _TWO_PI, phase)
-            omega = self._angular_speed
-            omega = np.where(circular & fx, -omega, omega)
-            self._angular_speed = np.where(circular & fy, -omega, omega)
-        self._xy = xy
-        self._phase = phase
-        self._time_in_state += dt
-        due = (self._time_in_state >= self._sojourn).nonzero()[0]
-        if due.size:
-            self._renew(due)
+        xs, ys, phases = self._displace() if ahead is None else ahead
+        self._x, self._y, self._phase = xs, ys, phases  # folded in place below
+        tis, due = self._time_in_state, []
+        for i, (x, y, t, sojourn) in enumerate(zip(xs, ys, tis, self._sojourn)):
+            if not (0.0 <= x <= side and 0.0 <= y <= side):
+                xs[i], fx = _fold(x, side)
+                ys[i], fy = _fold(y, side)
+                if fx or fy:
+                    self._mirror(i, fx, fy)
+            t += dt
+            tis[i] = t
+            if t >= sojourn:
+                due.append(i)
+        if due:
+            self._renew(due, self._motion_rngs, cfg.transition_prob)
         self.time += dt
 
-    def _renew(self, due: np.ndarray) -> None:
-        """The Markov renewal of each due node, from its own motion stream:
-        switch mode with ``transition_prob``, then redraw the parameters."""
-        rngs = self._motion_rngs
-        idx = due.tolist()
-        for i in idx:  # a node's motion stream is made at its first renewal
-            if rngs[i] is None:
-                rngs[i] = self._rng(i, _STREAM_MOTION)
-        (
-            self._linear[due],
-            self._speed[due],
-            self._sojourn[due],
-            self._heading[due],
-            self._turn_radius[due],
-            self._phase[due],
-            self._angular_speed[due],
-        ) = _renewals(
-            self.cfg, [rngs[i] for i in idx], self._linear[due].tolist(),
-            self.cfg.transition_prob,
-        )
-        self._time_in_state[due] = 0.0
+    def _aim(self, i: int, heading: float) -> None:
+        """Set linear node i's heading and its kept step offset."""
+        self._heading[i] = heading
+        step = self._speed[i] * self.cfg.time_step
+        self._dx[i] = step * math.cos(heading)
+        self._dy[i] = step * math.sin(heading)
+
+    def _mirror(self, i: int, fx: bool, fy: bool) -> None:
+        """Mirror node i's motion off the walls it crossed an odd number of
+        times: a linear heading (and its kept step offset), or an orbit
+        phase and its spin."""
+        if self._linear[i]:
+            heading = math.pi - self._heading[i] if fx else self._heading[i]
+            self._aim(i, (-heading if fy else heading) % _TWO_PI)
+            return
+        phase, omega = self._phase[i], self._angular_speed[i]
+        if fx:
+            phase, omega = math.pi - phase, -omega
+        if fy:
+            phase, omega = -phase, -omega
+        self._phase[i] = phase % _TWO_PI
+        self._angular_speed[i] = omega
 
     def true_positions(self) -> np.ndarray:
-        return self._xy.T.copy()
+        return _positions(self._x, self._y)
 
     def predicted_positions(self) -> np.ndarray:
         """Every node's current kinematics extrapolated one ``time_step``
@@ -352,8 +345,8 @@ class Fleet:
         The displacement is the one the next ``advance`` makes, so the
         fleet keeps it for that step."""
         noise_var = self.cfg.prediction_noise_var
-        self._ahead = self._displace(self.cfg.time_step)
-        out = self._ahead[0].T.copy()
+        self._ahead = xs, ys, _ = self._displace()
+        out = _positions(xs, ys)
         if noise_var > 0.0:
             k = self._noise_next
             if k == self._noise_block.shape[1]:
@@ -382,12 +375,11 @@ def trajectory_rows(
 
     def rows():
         for _ in range(n_steps + 1):
-            xs, ys = fleet._xy.tolist()
             modes = (
                 (MobilityMode.LINEAR if linear else MobilityMode.CIRCULAR).value
-                for linear in fleet._linear.tolist()
+                for linear in fleet._linear
             )
-            yield from zip(repeat(fleet.time), range(n), xs, ys, modes)
+            yield from zip(repeat(fleet.time), range(n), fleet._x, fleet._y, modes)
             fleet.advance()
 
     return rows()

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own code paths: areas
 come from rejection sampling or a different algebraic decomposition,
-shortest paths from Bellman-Ford, neighbor sets from O(n^2) scans, and
+shortest paths from Bellman-Ford, neighbor sets from O(n^2) scans, whole
+static greedy sessions from dense distance arrays, and
 mobility from stepping one node at a time on ``SeedSequence`` generators,
 with each node's draws written out here in the order its stream yields
 them (``init_deployment``, ``renewal_params``) and taken through
@@ -265,6 +266,57 @@ def brute_greedy_next_hop(
         if dj < best_d:
             best, best_d = j, dj
     return best
+
+
+def static_greedy_sessions(
+    n: int,
+    area_side: float,
+    comm_range: float,
+    max_hops: int,
+    sessions: int,
+    rng: np.random.Generator,
+) -> dict[str, int]:
+    """Whole greedy sessions, each on its own motionless deployment: ``n``
+    uniform points on the square and a uniform ordered (source, dest)
+    pair, then hop after hop to the in-range node closest to the
+    destination, taken only when strictly closer than the current holder
+    (lowest index on ties), for at most ``max_hops`` hops.
+
+    Returns the counts of sessions ``delivered``, ``stuck_at_source`` (no
+    first hop), ``stuck_at_relay`` (stuck after one or more hops) and
+    ``hop_cap`` (still en route).  Every session of one hop round steps at
+    once on dense distance arrays; nothing here comes from the library.
+    """
+    pts = rng.uniform(0.0, area_side, size=(sessions, n, 2))
+    rows = np.arange(sessions)
+    src = rng.integers(0, n, sessions)
+    dst = (src + rng.integers(1, n, sessions)) % n
+    to_dest = np.linalg.norm(pts - pts[rows, dst][:, None, :], axis=2)
+    cur, hops = src.copy(), np.zeros(sessions, dtype=int)
+    en_route = np.ones(sessions, dtype=bool)
+    stuck = np.zeros(sessions, dtype=bool)
+    for _ in range(max_hops):
+        a = en_route.nonzero()[0]
+        if not a.size:
+            break
+        gap = np.linalg.norm(pts[a] - pts[a, cur[a]][:, None, :], axis=2)
+        closer = to_dest[a] < to_dest[a, cur[a]][:, None]
+        candidate = (gap <= comm_range) & closer  # never the holder itself
+        nxt = np.where(candidate, to_dest[a], np.inf).argmin(axis=1)  # first minimum
+        moves = candidate.any(axis=1)
+        stuck[a[~moves]] = True
+        en_route[a[~moves]] = False
+        a, nxt = a[moves], nxt[moves]
+        cur[a] = nxt
+        hops[a] += 1
+        en_route[a[nxt == dst[a]]] = False
+    delivered = ~stuck & ~en_route
+    return {
+        "delivered": int(delivered.sum()),
+        "stuck_at_source": int((stuck & (hops == 0)).sum()),
+        "stuck_at_relay": int((stuck & (hops > 0)).sum()),
+        "hop_cap": int(en_route.sum()),
+    }
 
 
 def _bellman_ford(
@@ -541,16 +593,9 @@ def predict_position(
 
 
 def fleet_states(fleet) -> list[NodeState]:
-    """A ``fanetsim.mobility.Fleet``'s per-node states, read off its arrays."""
-    params = np.array(
-        [getattr(fleet, f"_{f.name}") for f in fields(MobilityParams)]
-    ).T.tolist()
-    rows = zip(
-        *fleet._xy.tolist(),
-        fleet._linear.tolist(),
-        fleet._time_in_state.tolist(),
-        params,
-    )
+    """A ``fanetsim.mobility.Fleet``'s per-node states, read off its lists."""
+    params = zip(*(getattr(fleet, f"_{f.name}") for f in fields(MobilityParams)))
+    rows = zip(fleet._x, fleet._y, fleet._linear, fleet._time_in_state, params)
     return [
         NodeState(i, x, y, _mode(linear), MobilityParams(*p), t)
         for i, (x, y, linear, t, p) in enumerate(rows)

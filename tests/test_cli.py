@@ -1,6 +1,7 @@
 import argparse
 import configparser
 import csv
+import hashlib
 import io
 import json
 import math
@@ -568,7 +569,27 @@ class TestRouteCommand:
         assert result.get(12, alg, "hop_count").mean == int(hops)
 
 
+# Recorded sha256 of `fanetsim trace` CSVs.  trace prints positions with
+# repr, so a last-bit drift anywhere in the mobility model changes them.
+_TRACE_SHA256 = {
+    "--n 10 --steps 200 --seed 7":
+        "707346eef317d0da050e6cfbbd786f0848c062d25236911fc2ea37d555c317d9",
+    "--n 30 --steps 100 --seed 3 --set mobility.time_step=30":
+        "6bff934dc4cbf57874381497a7a767d4440054d08e4ca10c1b661a08f266bdf0",
+    # 60 m/s on a 200 m square: a wall reflection every few steps
+    "--n 12 --steps 300 --seed 5 --set net.area_side=200 --set net.comm_range=100 "
+    "--set mobility.mean_speed=60 --set mobility.mean_wait=3 --set mobility.time_step=5":
+        "70a54cf25b76009934f88606c92f53f0604b7587595b3a673926035399f74820",
+}
+
+
 class TestTraceCommand:
+    @pytest.mark.parametrize("args", list(_TRACE_SHA256))
+    def test_bytes_match_recorded_sha256(self, tmp_path, args):
+        out = tmp_path / "trace.csv"
+        assert main(["trace", *args.split(), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == _TRACE_SHA256[args]
+
     def test_csv_columns_and_rows(self, tmp_path):
         out = tmp_path / "traj.csv"
         code = main(["trace", "--seed", "2", "--n", "3", "--steps", "5",

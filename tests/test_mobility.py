@@ -307,10 +307,10 @@ class TestNoiseBlocks:
         assert [g.bit_generator.state for g in fleet._noise_rngs] == before
 
 
-# Every array of a fleet's motion state.
+# Every list of a fleet's motion state, kept step offsets included.
 _STATE = (
-    "_xy", "_linear", "_speed", "_sojourn", "_heading", "_turn_radius",
-    "_phase", "_angular_speed", "_time_in_state",
+    "_x", "_y", "_linear", "_speed", "_sojourn", "_heading", "_turn_radius",
+    "_phase", "_angular_speed", "_time_in_state", "_dx", "_dy",
 )
 
 
@@ -324,14 +324,14 @@ class TestPredictionKeepsTrajectory:
         self, monkeypatch, mean_speed, noise_var
     ):
         folds = []
-        original = mobility._fold_all
+        original = mobility._fold
 
         def counted(v, side):
             out = original(v, side)
-            folds.append(out[1] is not None)
+            folds.append(out[0] != v)
             return out
 
-        monkeypatch.setattr(mobility, "_fold_all", counted)
+        monkeypatch.setattr(mobility, "_fold", counted)
         cfg = MobilityConfig(
             area_side=1_000.0, mean_speed=mean_speed, mean_wait=8.0, time_step=5.0,
             prediction_noise_var=noise_var,
@@ -352,8 +352,9 @@ class TestPredictionKeepsTrajectory:
                     == plain.true_positions().tobytes()
                 )
                 for name in _STATE:
+                    # repr tells -0.0 from 0.0 and round-trips every float
                     a, b = getattr(fleet, name), getattr(plain, name)
-                    assert a.tobytes() == b.tobytes(), name
+                    assert repr(a) == repr(b), name
         assert any(folds)  # some node reflected off a wall
         assert None not in plain._motion_rngs  # every node renewed
 
@@ -362,9 +363,9 @@ class TestPredictionKeepsTrajectory:
         displaced = []
         original = Fleet._displace
 
-        def counted(fleet, dt):
-            displaced.append(dt)
-            return original(fleet, dt)
+        def counted(fleet):
+            displaced.append(fleet.time)
+            return original(fleet)
 
         monkeypatch.setattr(Fleet, "_displace", counted)
         cfg = MobilityConfig(time_step=30.0, prediction_noise_var=noise_var)
@@ -446,35 +447,42 @@ def _assert_fleet_is_reference(cfg, n, seed, n_steps, order):
         assert _bits(fleet.predicted_positions()) == _bits(predicted)
 
 
+# Fleet configurations over every mobility regime, with many wall
+# reflections among them.
+_FLEET_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n_order=st.integers(2, 50).flatmap(
+        lambda n: st.permutations(range(n)).map(lambda p: (n, p))
+    ),
+    n_steps=st.integers(0, 40),
+    area_side=st.sampled_from([50.0, 400.0, 10_000.0]),
+    mean_speed=st.sampled_from([0.0, 20.0, 300.0]),
+    mean_turn_radius=st.sampled_from([5.0, 500.0]),
+    mean_wait=st.sampled_from([0.5, 20.0]),
+    time_step=st.sampled_from([0.5, 1.0, 5.0]),
+    transition_prob=st.sampled_from([0.0, 0.2, 1.0]),
+    prediction_noise_var=st.sampled_from([0.0, 10.0]),
+)
+# 300 m/s for 5 s on a 50 m square: dozens of wall reflections per step
+_WALL_STORM = dict(
+    seed=3, n_order=(6, [5, 0, 3, 1, 4, 2]), n_steps=40, area_side=50.0,
+    mean_speed=300.0, mean_turn_radius=500.0, mean_wait=0.5, time_step=5.0,
+    transition_prob=1.0, prediction_noise_var=10.0,
+)
+_STILL = dict(
+    seed=0, n_order=(2, [1, 0]), n_steps=10, area_side=400.0,
+    mean_speed=0.0, mean_turn_radius=5.0, mean_wait=0.5, time_step=1.0,
+    transition_prob=0.0, prediction_noise_var=0.0,
+)
+
+
 class TestFleetMatchesReference:
-    """The array fleet is the per-node reference, bit for bit."""
+    """The fleet is the per-node reference, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n_order=st.integers(2, 50).flatmap(
-            lambda n: st.permutations(range(n)).map(lambda p: (n, p))
-        ),
-        n_steps=st.integers(0, 40),
-        area_side=st.sampled_from([50.0, 400.0, 10_000.0]),
-        mean_speed=st.sampled_from([0.0, 20.0, 300.0]),
-        mean_turn_radius=st.sampled_from([5.0, 500.0]),
-        mean_wait=st.sampled_from([0.5, 20.0]),
-        time_step=st.sampled_from([0.5, 1.0, 5.0]),
-        transition_prob=st.sampled_from([0.0, 0.2, 1.0]),
-        prediction_noise_var=st.sampled_from([0.0, 10.0]),
-    )
-    # 300 m/s for 5 s on a 50 m square: dozens of wall reflections per step
-    @example(
-        seed=3, n_order=(6, [5, 0, 3, 1, 4, 2]), n_steps=40, area_side=50.0,
-        mean_speed=300.0, mean_turn_radius=500.0, mean_wait=0.5, time_step=5.0,
-        transition_prob=1.0, prediction_noise_var=10.0,
-    )
-    @example(
-        seed=0, n_order=(2, [1, 0]), n_steps=10, area_side=400.0,
-        mean_speed=0.0, mean_turn_radius=5.0, mean_wait=0.5, time_step=1.0,
-        transition_prob=0.0, prediction_noise_var=0.0,
-    )
+    @given(**_FLEET_CASES)
+    @example(**_WALL_STORM)
+    @example(**_STILL)
     def test_fleet_equals_per_node_reference(self, seed, n_order, n_steps, **kw):
         n, order = n_order
         _assert_fleet_is_reference(MobilityConfig(**kw), n, seed, n_steps, order)
@@ -503,6 +511,41 @@ class TestFleetMatchesReference:
             fleet.advance()
         motion = [node_id for node_id, stream in built_streams if stream == 1]
         assert sorted(motion) == list(range(8))  # every node renewed, once built
+
+
+def _assert_offsets_fresh(fleet):
+    """Each linear node's kept step offset is its recomputed
+    ``speed * time_step * cos/sin(heading)``, bit for bit."""
+    dt = fleet.cfg.time_step
+    for i, linear in enumerate(fleet._linear):
+        if linear:
+            speed, heading = fleet._speed[i], fleet._heading[i]
+            kept = (fleet._dx[i].hex(), fleet._dy[i].hex())
+            fresh = (
+                (speed * dt * math.cos(heading)).hex(),
+                (speed * dt * math.sin(heading)).hex(),
+            )
+            assert kept == fresh, (i, kept, fresh)
+
+
+class TestKeptStepOffset:
+    """A linear node's kept step offset never goes stale: it is refreshed
+    whenever the node renews or reflects off a wall."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_FLEET_CASES)
+    @example(**_WALL_STORM)
+    @example(**_STILL)
+    # a wall reflection every step and no renewal for dozens of steps
+    @example(**{**_WALL_STORM, "mean_wait": 20.0, "time_step": 0.5, "transition_prob": 0.0})
+    def test_offset_equals_recomputed_after_every_call(self, seed, n_order, n_steps, **kw):
+        fleet = Fleet(MobilityConfig(**kw), n_order[0], seed)
+        _assert_offsets_fresh(fleet)
+        for _ in range(n_steps):
+            fleet.predicted_positions()
+            _assert_offsets_fresh(fleet)
+            fleet.advance()
+            _assert_offsets_fresh(fleet)
 
 
 # Run entropies as numpy coerces them: ints of 1-6 uint32 words, and tuples

@@ -27,6 +27,8 @@ from fanetsim.simharness import (
     run_experiment,
 )
 
+from oracles import static_greedy_sessions
+
 STATIC_MOBILITY = MobilityConfig(mean_speed=0.0, prediction_noise_var=0.0)
 
 
@@ -783,3 +785,73 @@ class TestRecordTrace:
         with pytest.raises(IndexError):
             trace.snapshot(41)
         assert fleet.time / cfg.time_step == furthest
+
+
+class TestStaticSweepMatchesSessionOracle:
+    """The harness's static sweep, session by session, against whole
+    sessions of an independent oracle that shares none of its code."""
+
+    ORACLE_SESSIONS = 20_000  # per node count, one per deployment
+
+    def test_outcome_rates_agree_at_every_node_count(self, monkeypatch):
+        outcomes = {}  # n_nodes -> the cell's sessions, in routing order
+        route = simharness.route_greedy
+
+        def recorded(sim, *args, **kwargs):
+            out = route(sim, *args, **kwargs)
+            outcomes.setdefault(sim.snapshot().n_nodes, []).append(out)
+            return out
+
+        monkeypatch.setattr(simharness, "route_greedy", recorded)
+        cfg = ExperimentConfig(
+            mobility=STATIC_MOBILITY,
+            sweep=SweepSpec("n_nodes", simharness.DEFAULT_NODE_SWEEP),
+            runs=100,
+            sessions_per_run=10,
+            seed=0,
+        )
+        result = run_experiment(cfg)
+        alg = Algorithm.GREEDY_PREDICTIVE.value
+        stuck = SessionStatus.STUCK_NO_PROGRESS
+        rng = np.random.default_rng(0)
+        z_scores = {}
+        for n in cfg.sweep.values:
+            outs = outcomes[n]
+            assert len(outs) == cfg.runs * cfg.sessions_per_run
+            classes = {
+                "delivered": [o.status is SessionStatus.DELIVERED for o in outs],
+                "stuck_at_source": [o.status is stuck and not o.hops for o in outs],
+                "stuck_at_relay": [o.status is stuck and bool(o.hops) for o in outs],
+                "hop_cap": [o.status is SessionStatus.HOP_CAP for o in outs],
+            }
+            # the recorded sessions are the ones the result counts
+            assert sum(classes["delivered"]) == result.session_counts[n, alg][0]
+            assert (
+                sum(classes["stuck_at_source"]) + sum(classes["stuck_at_relay"])
+                == result.status_counts[n, alg][stuck]
+            )
+            oracle = static_greedy_sessions(
+                n, cfg.net.area_side, cfg.net.comm_range, cfg.hop_cap(n),
+                self.ORACLE_SESSIONS, rng,
+            )
+            for name, hits in classes.items():
+                # A run's sessions share a deployment, so the harness's
+                # stderr is taken over runs; it is floored at the binomial
+                # stderr, which a cell with no spread across runs reads as 0.
+                k = cfg.sessions_per_run
+                per_run = [sum(hits[i:i + k]) / k for i in range(0, len(hits), k)]
+                p_harness = sum(per_run) / cfg.runs
+                p_oracle = oracle[name] / self.ORACLE_SESSIONS
+                se_harness = max(
+                    float(np.std(per_run, ddof=1)) / math.sqrt(cfg.runs),
+                    math.sqrt(p_oracle * (1.0 - p_oracle) / len(hits)),
+                )
+                se_oracle = math.sqrt(
+                    p_oracle * (1.0 - p_oracle) / self.ORACLE_SESSIONS
+                )
+                gap = p_harness - p_oracle
+                # equal shares (say, no hop-cap session on either side) are
+                # z = 0, even where both stderrs are 0
+                z_scores[n, name] = gap and gap / math.hypot(se_harness, se_oracle)
+        far = {key: round(z, 2) for key, z in z_scores.items() if abs(z) > 3.0}
+        assert not far, (far, z_scores)
