@@ -14,9 +14,8 @@ Reproducibility: every random stream derives from
 (seed, sweep_index, run_index) in ``_deploy``, the one builder of a
 deployment, and aggregation is an ordered reduction, so results are
 bitwise identical across repeat invocations and across worker counts.
-The aggregation is plain Python that follows numpy's pairwise summation
-order, so each cell's mean and standard error equal numpy's ``mean()``
-and ``std(ddof=1) / sqrt(n)`` bit for bit.
+The aggregation sums exactly with ``math.fsum``, so a cell whose runs
+all read the same value reports that value with a stderr of exactly 0.
 The CLI's ``route`` and ``trace`` show run 0 of a one-cell, one-session
 experiment at their seed.  Within one run, all algorithms replay the
 same mobility trace, which makes the comparison paired; the trace steps
@@ -43,7 +42,7 @@ Metric conventions per cell and algorithm:
   re-initiation semantics of a failed journey.
 * ``stderr``: the standard error of a cell's per-run values; NaN (an
   empty CSV cell) when the cell holds one value, which has no spread to
-  estimate.
+  estimate, and exactly 0 when its values are all equal.
 
 Importing this module loads no numpy, nor does the aggregation:
 ``_deploy`` and ``record_trace`` import numpy, ``Fleet`` and the topology
@@ -421,48 +420,20 @@ def _run_one(
     return sum_d, per_alg
 
 
-def _pairwise_sum(v: list[float]) -> float:
-    """numpy's float64 pairwise sum of ``v``, bit for bit: in order below 8
-    values, eight strided accumulators up to 128, halves above that."""
-    n = len(v)
-    if n < 8:
-        s = 0.0
-        for x in v:
-            s += x
-        return s
-    if n <= 128:
-        r0, r1, r2, r3, r4, r5, r6, r7 = v[:8]
-        m = n - n % 8
-        for i in range(8, m, 8):
-            r0 += v[i]
-            r1 += v[i + 1]
-            r2 += v[i + 2]
-            r3 += v[i + 3]
-            r4 += v[i + 4]
-            r5 += v[i + 5]
-            r6 += v[i + 6]
-            r7 += v[i + 7]
-        s = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for x in v[m:]:
-            s += x
-        return s
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(v[:half]) + _pairwise_sum(v[half:])
-
-
 def _mean_stderr(values: list[float]) -> tuple[float, float]:
-    """The mean and standard error of ``values``, equal bit for bit to
-    numpy's ``mean()`` and ``std(ddof=1) / sqrt(n)``."""
+    """The mean and standard error (``n - 1`` divisor) of ``values``, from
+    exact sums of their offsets from the first value: equal values give
+    that value and a stderr of exactly 0."""
     n = len(values)
     if not n:
         return math.nan, math.nan
-    # numpy's reduction starts from 0.0, which turns a -0.0 sum into 0.0
-    mean = (0.0 + _pairwise_sum(values)) / n
+    v0 = values[0]
+    offsets = [v - v0 for v in values]
+    shift = math.fsum(offsets) / n
     if n < 2:
-        return mean, math.nan
-    var = (0.0 + _pairwise_sum([(v - mean) * (v - mean) for v in values])) / (n - 1)
-    return mean, math.sqrt(var) / math.sqrt(n)
+        return v0 + shift, math.nan
+    var = math.fsum((x - shift) * (x - shift) for x in offsets) / (n - 1)
+    return v0 + shift, math.sqrt(var) / math.sqrt(n)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

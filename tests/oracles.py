@@ -275,7 +275,7 @@ def static_greedy_sessions(
     max_hops: int,
     sessions: int,
     rng: np.random.Generator,
-) -> dict[str, int]:
+) -> tuple[dict[str, int], np.ndarray]:
     """Whole greedy sessions, each on its own motionless deployment: ``n``
     uniform points on the square and a uniform ordered (source, dest)
     pair, then hop after hop to the in-range node closest to the
@@ -284,7 +284,8 @@ def static_greedy_sessions(
 
     Returns the counts of sessions ``delivered``, ``stuck_at_source`` (no
     first hop), ``stuck_at_relay`` (stuck after one or more hops) and
-    ``hop_cap`` (still en route).  Every session of one hop round steps at
+    ``hop_cap`` (still en route), and the hop counts of the delivered
+    sessions in session order.  Every session of one hop round steps at
     once on dense distance arrays; nothing here comes from the library.
     """
     pts = rng.uniform(0.0, area_side, size=(sessions, n, 2))
@@ -311,12 +312,13 @@ def static_greedy_sessions(
         hops[a] += 1
         en_route[a[nxt == dst[a]]] = False
     delivered = ~stuck & ~en_route
-    return {
+    counts = {
         "delivered": int(delivered.sum()),
         "stuck_at_source": int((stuck & (hops == 0)).sum()),
         "stuck_at_relay": int((stuck & (hops > 0)).sum()),
         "hop_cap": int(en_route.sum()),
     }
+    return counts, hops[delivered]
 
 
 def _bellman_ford(

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import re
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -578,9 +579,18 @@ def _spread(n: int) -> list[float]:
     return [math.sin(i + 1.0) * 10.0 ** (i % 9 - 4) for i in range(n)]
 
 
+def _exact_variance(values: list[float]) -> Fraction:
+    """The ``n - 1`` variance of ``values``, in exact arithmetic."""
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / len(exact)
+    return sum((v - mean) ** 2 for v in exact) / (len(exact) - 1)
+
+
 class TestMeanStderr:
+    SPREAD_LISTS = st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=300)
+
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=300))
+    @given(SPREAD_LISTS)
     @example(_spread(1))
     @example(_spread(7))
     @example(_spread(8))
@@ -588,15 +598,41 @@ class TestMeanStderr:
     @example(_spread(128))
     @example(_spread(129))
     @example(_spread(136))
-    def test_matches_numpy_bit_for_bit(self, values):
-        # numpy is the reference: its pairwise summation set the CSV bytes
-        a = np.array(values)
-        mean, stderr = simharness._mean_stderr(values)
-        assert mean.hex() == float(a.mean()).hex()
-        if len(values) < 2:
-            assert math.isnan(stderr)
-        else:
-            assert stderr.hex() == float(a.std(ddof=1) / math.sqrt(len(a))).hex()
+    def test_mean_is_within_three_ulps_of_the_exact_mean(self, values):
+        mean = simharness._mean_stderr(values)[0]
+        exact = sum(map(Fraction, values)) / len(values)
+        assert abs(Fraction(mean) - exact) <= 3 * Fraction(math.ulp(max(map(abs, values))))
+
+    @settings(max_examples=300, deadline=None)
+    @given(SPREAD_LISTS.filter(lambda v: len(v) >= 2))
+    @example(_spread(7))
+    @example(_spread(8))
+    @example(_spread(9))
+    @example(_spread(128))
+    @example(_spread(129))
+    @example(_spread(136))
+    def test_stderr_is_within_1e_13_of_the_exact_stderr(self, values):
+        stderr = simharness._mean_stderr(values)[1]
+        exact = math.sqrt(float(_exact_variance(values))) / math.sqrt(len(values))
+        # abs_tol: squared deviations below 2.2e-308 round as subnormals on
+        # both sides, which moves a stderr by at most about 4e-162
+        assert math.isclose(stderr, exact, rel_tol=1e-13, abs_tol=1e-160)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(min_value=2, max_value=1000),
+    )
+    @example(0.1, 3)
+    @example(0.7, 3)
+    @example(0.9, 3)
+    @example(0.7, 100)
+    def test_equal_values_have_their_value_and_zero_stderr(self, v, n):
+        assert simharness._mean_stderr([v] * n) == (v, 0.0)
+
+    def test_one_value_has_nan_stderr(self):
+        mean, stderr = simharness._mean_stderr([0.7])
+        assert mean == 0.7 and math.isnan(stderr)
 
     def test_empty(self):
         assert all(math.isnan(v) for v in simharness._mean_stderr([]))
@@ -683,6 +719,15 @@ class TestFigureDatasets:
         dataset = {"fig5": figure5_dataset, "fig6": figure6_dataset}[name]
         time_step = dataset().config["mobility"]["time_step"]
         assert time_step == FIGURES[name].mobility.time_step == 30.0
+
+    def test_cell_whose_runs_agree_has_zero_stderr(self):
+        # all three runs deliver 7 of 10; a summation in numpy's order
+        # printed a stderr of 7.85046229342e-17 here
+        res = figure5_dataset(replace(FIGURES["fig5"], runs=3, seed=3))
+        assert (
+            "mean_speed,50,greedy_static,success_rate,0.7,0,0.96892940304,0.988763386565"
+            in res.to_csv().splitlines()
+        )
 
     def test_given_config_keeps_its_time_step(self):
         # only FIGURES["fig5"] carries the figure's 30 s hop
@@ -789,7 +834,8 @@ class TestRecordTrace:
 
 class TestStaticSweepMatchesSessionOracle:
     """The harness's static sweep, session by session, against whole
-    sessions of an independent oracle that shares none of its code."""
+    sessions of an independent oracle that shares none of its code: the
+    four outcome shares and the mean hops per delivered session."""
 
     ORACLE_SESSIONS = 20_000  # per node count, one per deployment
 
@@ -830,15 +876,15 @@ class TestStaticSweepMatchesSessionOracle:
                 sum(classes["stuck_at_source"]) + sum(classes["stuck_at_relay"])
                 == result.status_counts[n, alg][stuck]
             )
-            oracle = static_greedy_sessions(
+            oracle, oracle_hops = static_greedy_sessions(
                 n, cfg.net.area_side, cfg.net.comm_range, cfg.hop_cap(n),
                 self.ORACLE_SESSIONS, rng,
             )
+            k = cfg.sessions_per_run
             for name, hits in classes.items():
                 # A run's sessions share a deployment, so the harness's
                 # stderr is taken over runs; it is floored at the binomial
                 # stderr, which a cell with no spread across runs reads as 0.
-                k = cfg.sessions_per_run
                 per_run = [sum(hits[i:i + k]) / k for i in range(0, len(hits), k)]
                 p_harness = sum(per_run) / cfg.runs
                 p_oracle = oracle[name] / self.ORACLE_SESSIONS
@@ -853,5 +899,19 @@ class TestStaticSweepMatchesSessionOracle:
                 # equal shares (say, no hop-cap session on either side) are
                 # z = 0, even where both stderrs are 0
                 z_scores[n, name] = gap and gap / math.hypot(se_harness, se_oracle)
+            # Mean hops per delivered session: the harness's is a ratio of
+            # per-run sums, so its stderr over runs is the ratio estimator's.
+            delivered = classes["delivered"]
+            hops = [len(o.hops) * hit for o, hit in zip(outs, delivered)]
+            run_hops = [sum(hops[i:i + k]) for i in range(0, len(outs), k)]
+            run_delivered = [sum(delivered[i:i + k]) for i in range(0, len(outs), k)]
+            hops_harness = sum(run_hops) / sum(run_delivered)
+            se_harness = math.sqrt(
+                sum((h - hops_harness * d) ** 2 for h, d in zip(run_hops, run_delivered))
+                / (cfg.runs * (cfg.runs - 1))
+            ) / (sum(run_delivered) / cfg.runs)
+            se_oracle = float(np.std(oracle_hops, ddof=1)) / math.sqrt(len(oracle_hops))
+            gap = hops_harness - float(np.mean(oracle_hops))
+            z_scores[n, "mean_hops"] = gap and gap / math.hypot(se_harness, se_oracle)
         far = {key: round(z, 2) for key, z in z_scores.items() if abs(z) > 3.0}
         assert not far, (far, z_scores)
