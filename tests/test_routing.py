@@ -19,7 +19,7 @@ from fanetsim.routing import (
     route_greedy,
 )
 from fanetsim.simharness import record_trace
-from fanetsim.topology import ContactSnapshot, NetworkTrace
+from fanetsim.topology import _SCAN_MAX, ContactSnapshot, NetworkTrace
 
 from oracles import bellman_ford_path, bellman_ford_weight, brute_greedy_next_hop
 
@@ -345,10 +345,12 @@ class TestRouteDijkstra:
                     assert len(view.nodes) < n
         assert searched >= 5
 
-    def test_reads_kept_link_lists_only(self, monkeypatch):
+    # one node count on each side of the plain-float scan's limit
+    @pytest.mark.parametrize("n", [_SCAN_MAX, 60])
+    def test_reads_kept_link_lists_only(self, monkeypatch, n):
         rng = np.random.default_rng(21)
-        pos = rng.uniform(0, 10_000, size=(60, 2))
-        pos[59] = (50_000.0, 50_000.0)  # unreachable: the search covers 0's component
+        pos = rng.uniform(0, 10_000, size=(n, 2))
+        pos[n - 1] = (50_000.0, 50_000.0)  # unreachable: the search covers 0's component
         snap = snap_from(pos, comm_range=2_500.0)
         calls = Counter()
         for name in ("distance", "neighbors", "_row", "_build_table"):
@@ -359,9 +361,9 @@ class TestRouteDijkstra:
                 return _original(self, *args, **kwargs)
 
             monkeypatch.setattr(ContactSnapshot, name, counted)
-        assert route_dijkstra(snap, 0, 59) is None
+        assert route_dijkstra(snap, 0, n - 1) is None
         assert calls == {"_build_table": 1}
-        reached = [v for v in range(1, 59) if 0 in snap.neighbors(v)]
+        reached = [v for v in range(1, n - 1) if 0 in snap.neighbors(v)]
         calls.clear()
         for weight in PathWeight:
             assert route_dijkstra(snap, reached[0], 0, weight) is not None

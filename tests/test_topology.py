@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fanetsim import topology
 from fanetsim.mobility import Fleet
 from fanetsim.mobility_config import MobilityConfig
 from fanetsim.routing import PathWeight, greedy_next_hop, route_dijkstra
-from fanetsim.topology import _BLOCK, ContactSnapshot, NetworkTrace
+from fanetsim.simharness import record_trace
+from fanetsim.topology import _BLOCK, _SCAN_MAX, ContactSnapshot, NetworkTrace
 
 from oracles import brute_force_neighbors
 
@@ -16,6 +18,19 @@ def snap_from(positions, comm_range=4_000.0, predicted=None):
     pos = np.asarray(positions, dtype=float)
     pred = pos.copy() if predicted is None else np.asarray(predicted, dtype=float)
     return ContactSnapshot(0.0, pos, pred, comm_range)
+
+
+# _SCAN_MAX values that force each scan: numpy blocks at every n, or plain
+# floats at every n the tests build
+SCAN_PATHS = {"block": 0, "plain": 1_000}
+
+
+@pytest.fixture(params=sorted(SCAN_PATHS), scope="class")
+def scan_path(request):
+    """Runs a class's tests once on each scan path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(topology, "_SCAN_MAX", SCAN_PATHS[request.param])
+        yield request.param
 
 
 class TestContactSnapshot:
@@ -112,10 +127,11 @@ class TestContactSnapshot:
         assert {a: 1, b: 2}[a] == 1
 
 
+@pytest.mark.usefixtures("scan_path")
 class TestKeptRows:
     """Each neighbor row is built once per (node, position set) and kept;
     every call still returns a fresh list, the brute-force scan in
-    ascending order."""
+    ascending order, on either scan path."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -155,7 +171,8 @@ class TestKeptRows:
         assert (rows[0].tolist(), lengths[0].tolist()) == ([1, 2], [1_000.0, 2_000.0])
         assert snap._predicted_rows[0].tolist() == [1, 2]
 
-    def test_each_row_is_built_once_per_position_set(self, monkeypatch):
+    @pytest.mark.parametrize("n", [_SCAN_MAX, _SCAN_MAX + 1])
+    def test_each_row_is_built_once_per_position_set(self, monkeypatch, n):
         # the true rows come from one link table per snapshot, the
         # predicted rows from one _row each
         built = Counter()
@@ -172,15 +189,15 @@ class TestKeptRows:
         monkeypatch.setattr(ContactSnapshot, "_row", counting_row)
         monkeypatch.setattr(ContactSnapshot, "_build_table", counting_table)
         rng = np.random.default_rng(8)
-        pos, pred = rng.uniform(0, 10_000, size=(2, 15, 2))
+        pos, pred = rng.uniform(0, 10_000, size=(2, n, 2))
         snap = snap_from(pos, predicted=pred)
         for _ in range(3):
-            for i in range(15):
+            for i in range(n):
                 snap.neighbors(i)
                 snap.neighbors(i, use_predicted=True)
-                route_dijkstra(snap, i, (i + 1) % 15)  # shares the true-position table
-                greedy_next_hop(snap, i, (i + 1) % 15)
-        assert built == {"table": 1, **{i: 1 for i in range(15)}}
+                route_dijkstra(snap, i, (i + 1) % n)  # shares the true-position table
+                greedy_next_hop(snap, i, (i + 1) % n)
+        assert built == {"table": 1, **{i: 1 for i in range(n)}}
 
     @pytest.mark.parametrize("bad", [1.0, True, np.float64(1.0), "1", None])
     def test_non_integer_index_rejected(self, bad):
@@ -206,14 +223,18 @@ class TestKeptRows:
             assert snap.distance(i, np.int64(2)) == snap.distance(1, 2)
 
 
+# sizes around the block size catch a row lost or shifted at a block edge
+TABLE_SIZES = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, _SCAN_MAX, _SCAN_MAX + 1)
+
+
+@pytest.mark.usefixtures("scan_path")
 class TestLinkTable:
-    """The true-position link table is built whole, _BLOCK rows per scan;
-    sizes around the block size catch a row lost or shifted at a block
-    edge."""
+    """The true-position link table is built whole, by plain floats over
+    each pair or by numpy _BLOCK rows per scan, to the same rows."""
 
     @settings(max_examples=200, deadline=None)
     @given(
-        n=st.sampled_from((_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)),
+        n=st.sampled_from(TABLE_SIZES),
         k=st.integers(20, 1_600),
         pair=st.tuples(st.integers(0, 2 * _BLOCK), st.integers(0, 2 * _BLOCK)),
         sx=st.sampled_from((-1, 1)),
@@ -236,7 +257,7 @@ class TestLinkTable:
             assert lengths[i].tolist() == [snap.distance(i, j) for j in row]
             assert snap.neighbors(i) == row
 
-    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+    @pytest.mark.parametrize("n", TABLE_SIZES)
     def test_boundary_and_coincident_points(self, n):
         # nodes on a line R apart, each with a twin on the same spot
         r = 3_000.0
@@ -275,6 +296,58 @@ class TestLinkTable:
                         path = route_dijkstra(fresh, s, d, weight)
                         assert route_dijkstra(by_neighbors, s, d, weight) == path
                         assert route_dijkstra(by_next_row, s, d, weight) == path
+
+
+class TestScanPaths:
+    """Plain floats and numpy blocks give one snapshot the same rows and
+    the same length floats; the module constant picks plain floats up to
+    _SCAN_MAX nodes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 2 * _SCAN_MAX + 1),
+        k=st.integers(20, 1_600),
+        sx=st.sampled_from((-1, 1)),
+        sy=st.sampled_from((-1, 1)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_paths_agree_bit_for_bit(self, n, k, sx, sy, seed):
+        rng = np.random.default_rng(seed)
+        r = 5.0 * k
+        pos, pred = rng.uniform(-r, 10_000 + r, size=(2, n, 2))
+        pos[0], pred[0] = pos[0].round(), pred[0].round()
+        if n > 1:  # a 3-4-5 offset puts node 1 at exactly R from node 0
+            pos[1] = pos[0] + (sx * 3.0 * k, sy * 4.0 * k)
+            pred[1] = pred[0] + (sy * 4.0 * k, sx * 3.0 * k)
+        if n > 2:  # and node 2 on top of node 0
+            pos[2], pred[2] = pos[0], pred[0]
+        snap = snap_from(pos, comm_range=r, predicted=pred)
+        got = {}
+        with pytest.MonkeyPatch.context() as mp:
+            for path, scan_max in SCAN_PATHS.items():
+                mp.setattr(topology, "_SCAN_MAX", scan_max)
+                rows, lengths = snap._build_table()
+                hexes = [[w.hex() for w in row] for row in lengths]
+                got[path] = rows, hexes, [snap._row(i) for i in range(n)]
+        assert got["plain"] == got["block"]
+        rows, hexes, predicted_rows = got["plain"]
+        assert [len(row) for row in rows] == [len(h) for h in hexes]
+        if n > 2:
+            assert list(rows[0][:2]) == list(predicted_rows[0][:2]) == [1, 2]
+            assert hexes[0][:2] == [r.hex(), 0.0.hex()]
+
+    @pytest.mark.parametrize("n", [_SCAN_MAX, _SCAN_MAX + 1])
+    def test_constant_picks_the_path(self, n):
+        snap = snap_from(np.zeros((n, 2)))
+        # the plain scans read only the flat views, numpy the arrays
+        object.__setattr__(snap, "true_positions", None)
+        object.__setattr__(snap, "predicted_positions", None)
+        for use_predicted in (False, True):
+            if n <= _SCAN_MAX:
+                assert snap.neighbors(0, use_predicted) == list(range(1, n))
+            else:
+                with pytest.raises(TypeError):
+                    snap.neighbors(0, use_predicted)
 
 
 class TestPositionStorage:
@@ -431,6 +504,25 @@ class TestTrace:
         assert not np.array_equal(fleet.true_positions(), true)
         assert np.array_equal(snap.true_positions, true)
         assert np.array_equal(snap.predicted_positions, predicted)
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, True])
+    def test_n_steps_must_be_a_count(self, bad):
+        # each used to pass and fail only at the first read
+        fleet = Fleet(MobilityConfig(), 2, 0)
+        snap = ContactSnapshot.of_fleet(fleet, 5_000.0)
+        with pytest.raises(ValueError, match="n_steps must be"):
+            NetworkTrace((snap,), fleet, bad)
+        with pytest.raises(ValueError, match="n_steps must be"):
+            record_trace(fleet, 5_000.0, bad)
+
+    def test_numpy_integer_n_steps_accepted(self):
+        trace = record_trace(Fleet(MobilityConfig(), 2, 0), 5_000.0, np.int64(3))
+        assert trace.n_steps == 3 and type(trace.n_steps) is int
+        cur = trace.cursor()
+        for _ in range(3):
+            cur.advance()
+        with pytest.raises(RuntimeError, match="after 3 steps"):
+            cur.advance()
 
     def test_exhaustion_raises(self):
         trace = self.make_trace(1)
