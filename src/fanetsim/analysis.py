@@ -123,24 +123,10 @@ def hop_bounds(net: NetworkParams, d: float) -> tuple[float, float]:
 
 
 def expected_total_distance(net: NetworkParams, d: float) -> tuple[float, float]:
-    """Corridor for the mean end-to-end distance traveled by a packet.
-
-    Each hop's travel is taken as uniform between its progress and the
-    transmission radius, so the total is (d + hops * comm_range) / 2 with
-    the hop count replaced by its lower/upper bounds.
-    """
-    return _total_distance(net, d, hop_bounds(net, d))
-
-
-def _total_distance(
-    net: NetworkParams, d: float, hops: tuple[float, float]
-) -> tuple[float, float]:
-    """(d + hops * comm_range) / 2 at each end of the hop corridor ``hops``."""
-    hops_lower, hops_upper = hops
-    return (
-        0.5 * (d + hops_lower * net.comm_range),
-        0.5 * (d + hops_upper * net.comm_range),
-    )
+    """Corridor for the mean end-to-end distance traveled by a packet: the
+    ``dist_lower`` and ``dist_upper`` of :func:`bounds_report`."""
+    rep = bounds_report(net, d)
+    return rep.dist_lower, rep.dist_upper
 
 
 def isolation_probability(net: NetworkParams) -> float:
@@ -182,17 +168,20 @@ def success_probability(net: NetworkParams, hops: float) -> float:
 
 
 def bounds_report(net: NetworkParams, d: float) -> BoundsReport:
-    """Bundle the full corridor set for one source-destination distance."""
-    hops = hop_bounds(net, d)
-    hops_lower, hops_upper = hops
-    dist_lower, dist_upper = _total_distance(net, d, hops)
+    """Bundle the full corridor set for one source-destination distance.
+
+    Each hop's travel is taken as uniform between its progress and the
+    transmission radius, so the travel corridor is (d + hops * comm_range)
+    / 2 at each end of the hop corridor.
+    """
+    hops_lower, hops_upper = hop_bounds(net, d)
     p_iso = isolation_probability(net)
     return BoundsReport(
         src_dst_distance=d,
         hops_lower=hops_lower,
         hops_upper=hops_upper,
-        dist_lower=dist_lower,
-        dist_upper=dist_upper,
+        dist_lower=0.5 * (d + hops_lower * net.comm_range),
+        dist_upper=0.5 * (d + hops_upper * net.comm_range),
         p_isolation=p_iso,
         p_success_lower=success_probability(net, hops_upper),
         p_success_upper=success_probability(net, hops_lower),

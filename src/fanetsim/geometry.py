@@ -230,25 +230,17 @@ def _tail(dist: ProgressDistribution, rs: float) -> float:
     return base ** dist.n_nodes
 
 
-def expected_progress(
-    dist: ProgressDistribution,
-    rel_tol: float = 1e-9,
-    max_panels: int = 10_000,
-) -> float:
-    """Mean progress per hop: r minus the integral of the CDF over [0, r].
+def expected_progress(dist: ProgressDistribution) -> float:
+    """Mean progress per hop: r minus the integral of the CDF over [0, r],
+    to :func:`adaptive_quadrature`'s default tolerance and panel budget and
+    an absolute tolerance of 1e-12 r.
 
-    Raises :class:`QuadratureError` if the adaptive quadrature cannot reach
-    ``rel_tol`` within ``max_panels`` panels.
+    Raises :class:`QuadratureError` if the quadrature does not converge.
     """
     # Bound here, not at import, so a wrapper installed on the module
     # global before this call sees every integrand point.
     integral = adaptive_quadrature(
-        functools.partial(progress_cdf, dist),
-        0.0,
-        dist.r,
-        rel_tol=rel_tol,
-        abs_tol=1e-12 * dist.r,
-        max_panels=max_panels,
+        functools.partial(progress_cdf, dist), 0.0, dist.r, abs_tol=1e-12 * dist.r
     )
     return dist.r - integral
 

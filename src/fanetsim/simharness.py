@@ -147,7 +147,7 @@ class ExperimentConfig:
     each figure's entry in ``FIGURES``, are where the CLI's INI keys and
     defaults come from."""
 
-    net: NetworkParams = NetworkParams(10, 10_000.0, 5_000.0)
+    net: NetworkParams = NetworkParams(10, MobilityConfig.area_side, 5_000.0)
     mobility: MobilityConfig = MobilityConfig()
     sweep: SweepSpec = SweepSpec("n_nodes", DEFAULT_NODE_SWEEP)
     algorithms: tuple[Algorithm, ...] = (Algorithm.GREEDY_PREDICTIVE,)
@@ -486,12 +486,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         cell_mean_d[value] = mean_d
 
         rep = analysis.bounds_report(net, mean_d)
-        bounds = {
-            "success_rate": (rep.p_success_lower, rep.p_success_upper),
-            "hop_count": (rep.hops_lower, rep.hops_upper),
-            "distance": (rep.dist_lower, rep.dist_upper),
-            "power": (None, None),
-        }
+        bounds = (  # in the order of METRICS
+            (rep.p_success_lower, rep.p_success_upper),
+            (rep.hops_lower, rep.hops_upper),
+            (rep.dist_lower, rep.dist_upper),
+            (None, None),
+        )
 
         for alg in cfg.algorithms:
             per_run = [stats[alg] for stats in per_alg]
@@ -509,14 +509,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 status: sum(r.statuses[status.value] for r in per_run)
                 for status in SessionStatus
             }
-            for metric, values in (
-                ("success_rate", success),
-                ("hop_count", hops),
-                ("distance", dist),
-                ("power", power),
+            for metric, values, (lo, hi) in zip(
+                METRICS, (success, hops, dist, power), bounds
             ):
                 mean, stderr = _mean_stderr(values)
-                lo, hi = bounds[metric]
                 rows.append(
                     ResultRow(
                         sweep_param=cfg.sweep.name,

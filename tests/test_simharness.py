@@ -384,7 +384,8 @@ class TestMetrics:
 
     def test_row_layout_and_bounds(self):
         res = run_experiment(small_config())
-        assert len(res.rows) == 2 * 4  # two cells, four metrics, one algorithm
+        # two cells, one algorithm, each cell's rows in the order of METRICS
+        assert [row.metric for row in res.rows] == 2 * list(simharness.METRICS)
         for row in res.rows:
             assert row.sweep_param == "n_nodes"
             assert row.stderr >= 0.0 or math.isnan(row.stderr)

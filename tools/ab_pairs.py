@@ -5,12 +5,19 @@ Usage (from anywhere inside a checkout):
 
     python3 tools/ab_pairs.py REV WORKLOAD [--pairs 10] [--seed 0] [--seconds 20]
 
-Extracts the committed files of REV (``git archive``) and copies the
-working tree's files, tracked or untracked but not ignored, into two
-temporary directories, then runs ``python3 perfbench/run.py --workload
-WORKLOAD --seed SEED --seconds SECONDS --trace 0`` in each, one pair at a
-time, alternating which side runs first.  Like the benchmark itself, both
-sides run in fresh directories, so neither reads a bytecode cache that the
+Builds both sides with one routine: ``git archive`` of a tree, extracted
+into one of two temporary directories whose names have equal length.
+REV's tree is its commit's.  The working tree's comes from ``git add
+--all`` and ``git write-tree`` run against a temporary copy of the index
+(``GIT_INDEX_FILE``), so it holds the tracked files and the untracked
+ones that are not ignored, without the deleted ones, and the real index
+is left untouched.  The blobs and trees hashed that way stay in
+``.git/objects``, referenced by nothing, until ``git gc`` prunes them.
+
+Then runs ``python3 perfbench/run.py --workload WORKLOAD --seed SEED
+--seconds SECONDS --trace 0`` in each directory, one pair at a time,
+alternating which side runs first.  Like the benchmark itself, both sides
+run in fresh directories, so neither reads a bytecode cache that the
 other lacks (a stale ``__pycache__`` in the working tree alone moved
 ``wide_area`` ``wall_s`` by about 0.9%), and a killed run leaves nothing
 registered in the repository.  Running the two sides in pairs cancels the
@@ -19,11 +26,13 @@ calibration kernel) follows.
 
 Prints each pair's ``wall_s``, ``setup_s`` and ``peak_rss_mb``, then for
 each metric both sides' medians and quartiles, how many pairs the working
-tree won (lower is better for all three), and whether a gain claim holds:
-the working tree wins at least 9 in 10 pairs, and its median is better
-than REV's by more than REV's interquartile spread.  Exits 2 when REV
-names no commit, 1 when a run fails or is not correct, 0 otherwise.
-Removes its temporary directories on exit.
+tree won (lower is better for all three; a tie counts for neither side),
+and whether a gain claim holds: the working tree wins at least 9 in 10
+pairs, and its median is better than REV's by more than REV's
+interquartile spread.  A run that exits non-zero, prints nothing, or
+whose last line is not JSON counts as failed, and its pair gives no
+sample.  Exits 2 when REV names no commit, 1 when a run fails or is not
+correct, 0 otherwise.  Removes its temporary directories on exit.
 """
 
 from __future__ import annotations
@@ -58,28 +67,32 @@ def parse_args(argv):
     return args
 
 
-def extract(rev: str, dest: str) -> None:
-    """The committed files of ``rev`` under ``dest``."""
-    with subprocess.Popen(["git", "archive", "--format=tar", rev], cwd=ROOT,
+def git(*args: str, env: dict | None = None) -> str:
+    """The stripped stdout of ``git ARGS`` run at the top of the checkout."""
+    return subprocess.run(["git", *args], cwd=ROOT, env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def write_working_tree(tmp: str) -> str:
+    """The id of a tree object holding the working tree's files that git
+    tracks or would track, hashed through a copy of the index in ``tmp``."""
+    index = os.path.join(tmp, "index")
+    real_index = os.path.join(ROOT, git("rev-parse", "--git-path", "index"))
+    if os.path.exists(real_index):  # its stat data spares rehashing unchanged files
+        shutil.copyfile(real_index, index)
+    env = {**os.environ, "GIT_INDEX_FILE": index}
+    git("add", "--all", env=env)
+    return git("write-tree", env=env)
+
+
+def extract(tree: str, dest: str) -> None:
+    """The files of ``tree`` under ``dest``."""
+    with subprocess.Popen(["git", "archive", "--format=tar", tree], cwd=ROOT,
                           stdout=subprocess.PIPE) as proc:
         with tarfile.open(fileobj=proc.stdout, mode="r|") as tar:
             tar.extractall(dest, filter="data")
     if proc.returncode != 0:
-        raise SystemExit(f"git archive {rev} exited with {proc.returncode}")
-
-
-def copy_working_tree(dest: str) -> None:
-    """The working tree's files that git tracks or would track under ``dest``."""
-    listed = subprocess.run(
-        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
-        cwd=ROOT, capture_output=True, check=True,
-    ).stdout
-    for raw in filter(None, listed.split(b"\0")):
-        name = os.fsdecode(raw)
-        src, dst = os.path.join(ROOT, name), os.path.join(dest, name)
-        if os.path.isfile(src):  # a tracked file deleted in the working tree is skipped
-            os.makedirs(os.path.dirname(dst), exist_ok=True)
-            shutil.copy2(src, dst)
+        raise SystemExit(f"git archive {tree} exited with {proc.returncode}")
 
 
 def run_once(checkout: str, args) -> dict:
@@ -90,7 +103,10 @@ def run_once(checkout: str, args) -> dict:
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}"}
-    result = json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except ValueError:
+        return {"error": f"last line is not JSON: {lines[-1][-300:]!r}"}
     fingerprint = next((ln for ln in lines if ln.startswith("fingerprint: ")), "")
     out = {m: result["metrics"][m]["value"] for m in METRICS}
     if None in out.values():
@@ -134,10 +150,13 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     tmp = tempfile.mkdtemp(prefix="ab_pairs-")
     try:
-        sides = {args.rev: os.path.join(tmp, "rev"),
-                 "working tree": os.path.join(tmp, "working-tree")}
-        extract(args.rev, sides[args.rev])
-        copy_working_tree(sides["working tree"])
+        # Equal-length names, so neither side's paths are longer.
+        sides = {args.rev: os.path.join(tmp, "base"),
+                 "working tree": os.path.join(tmp, "work")}
+        trees = {args.rev: git("rev-parse", f"{args.rev}^{{tree}}"),
+                 "working tree": write_working_tree(tmp)}
+        for side, tree in trees.items():
+            extract(tree, sides[side])
         samples = {side: {m: [] for m in METRICS} for side in sides}
         failed = False
         print(f"{args.workload} seed {args.seed}, {args.seconds:g} s per run: "
