@@ -103,12 +103,23 @@ class SessionOutcome(NamedTuple):
 
     @property
     def total_distance(self) -> float:
-        return sum(h.tx_distance for h in self.hops)
+        return self._totals()[0]
 
     @property
     def total_power(self) -> float:
         """Transmit energy proxy: sum of squared link lengths."""
-        return sum(h.tx_distance * h.tx_distance for h in self.hops)
+        return self._totals()[1]
+
+    def _totals(self) -> tuple[float, float]:
+        """Travel and power, each added up in hop order: the one summation
+        that the properties and the harness's tally share.  (``sum()`` of
+        floats compensates round-off since Python 3.12.)"""
+        travel = power = 0.0
+        for hop in self.hops:
+            d = hop.tx_distance
+            travel += d
+            power += d * d
+        return travel, power
 
     @property
     def delivered(self) -> bool:

@@ -217,19 +217,17 @@ class ExperimentResult:
     separation over its delivered sessions, with the same runs and
     weights as the ``hop_count`` and ``distance`` rows, so a corridor
     evaluated there describes the population those rows average.
-    ``session_counts`` maps ``(value, algorithm.value)`` to the pooled
-    ``(delivered, attempted)`` session counts behind ``success_rate``, and
     ``status_counts`` maps the same keys to the pooled count of sessions
     ending in each :class:`SessionStatus` (every status present, zeros
-    included).  None of the last three appears in the CSV or the
-    provenance JSON.
+    included): the ``DELIVERED`` count over the sum of all of them is the
+    pooled ratio behind ``success_rate``.  None of the last three appears
+    in the CSV or the provenance JSON.
     """
 
     rows: tuple[ResultRow, ...]
     config: dict
     cell_mean_d: dict
     delivered_mean_d: dict
-    session_counts: dict
     status_counts: dict
 
     def get(self, value, algorithm: Algorithm, metric: str) -> ResultRow:
@@ -330,14 +328,9 @@ class _AlgStats:
     statuses: dict = field(default_factory=lambda: dict.fromkeys(_STATUS_VALUES, 0))
 
     def add(self, out: SessionOutcome) -> None:
-        """Tally one session, reading its hops once: travel and power are
-        summed in hop order, as ``total_distance`` and ``total_power`` sum
-        them."""
-        travel = power = 0.0
-        for hop in out.hops:
-            d = hop.tx_distance
-            travel += d
-            power += d * d
+        """Tally one session, with the travel and power that
+        ``total_distance`` and ``total_power`` report."""
+        travel, power = out._totals()
         status = out.status
         self.statuses[status._value_] += 1
         self.power_total += power
@@ -476,7 +469,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     rows: list[ResultRow] = []
     cell_mean_d: dict = {}
     delivered_mean_d: dict = {}
-    session_counts: dict = {}
     status_counts: dict = {}
     attempted = cfg.runs * cfg.sessions_per_run  # per cell, by each algorithm
     for si, (value, (net, _)) in enumerate(zip(cfg.sweep.values, cells)):
@@ -502,9 +494,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             power = [r.power_total / r.delivered for r in delivering]
             delivered_d = [r.delivered_d_sum / r.delivered for r in delivering]
             delivered_mean_d[value, alg.value] = _mean_stderr(delivered_d)[0]
-            session_counts[value, alg.value] = (
-                sum(r.delivered for r in per_run), attempted
-            )
             status_counts[value, alg.value] = {
                 status: sum(r.statuses[status.value] for r in per_run)
                 for status in SessionStatus
@@ -531,7 +520,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         config=_config_echo(cfg),
         cell_mean_d=cell_mean_d,
         delivered_mean_d=delivered_mean_d,
-        session_counts=session_counts,
         status_counts=status_counts,
     )
 

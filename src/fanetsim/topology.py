@@ -20,8 +20,9 @@ a new list, ascending.  Positions are stored as C-ordered float64
 ``(n, 2)`` arrays, and each has a flat ``memoryview`` (``[x0, y0, x1,
 y1, ...]``) through which per-pair arithmetic reads plain Python floats:
 the same doubles, without numpy scalar overhead.  Node indices must be
-integers in range.  ``n_nodes`` is a field set on construction, since
-the hop loop reads it at every decision.  Snapshots compare and hash by
+integers in range.  A snapshot is a plain class with ``__slots__``: it
+stores ``n_nodes`` once, since the hop loop reads it at every decision,
+and fills its row caches in place.  Snapshots compare and hash by
 identity, so they can key dicts and fill sets.
 
 A trace holds one snapshot per step, all with the same node count and
@@ -34,7 +35,6 @@ from __future__ import annotations
 import math
 import numbers
 from array import array
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,41 +46,41 @@ _BLOCK = 16  # link-table rows per numpy scan
 _SCAN_MAX = 24  # node count up to which rows and tables scan plain floats
 
 
-@dataclass(frozen=True, eq=False)
+def _flat(name: str, positions) -> tuple[np.ndarray, memoryview]:
+    """``positions`` as a C-ordered float64 ``(n, 2)`` array, and a flat view of it."""
+    pos = np.ascontiguousarray(positions, dtype=np.float64)
+    if pos.ndim != 2 or pos.shape[1] != 2:
+        raise ValueError(f"{name} must have shape (n, 2), got {pos.shape}")
+    return pos, memoryview(pos.reshape(-1))
+
+
 class ContactSnapshot:
-    """Immutable view of all node positions at one instant."""
+    """All node positions at one instant, with the rows read from them."""
 
-    time: float
-    true_positions: np.ndarray
-    predicted_positions: np.ndarray
-    comm_range: float
-    n_nodes: int = field(init=False, repr=False)
-    # per node, ascending true-position neighbors and their lengths
-    _table: tuple | None = field(default=None, init=False, repr=False)
-    # node -> ascending predicted-position neighbors
-    _predicted_rows: dict = field(default_factory=dict, init=False, repr=False)
-    # flat views over true_positions and predicted_positions
-    _true_xy: memoryview = field(init=False, repr=False)
-    _predicted_xy: memoryview = field(init=False, repr=False)
+    __slots__ = (
+        "time", "true_positions", "predicted_positions", "comm_range", "n_nodes",
+        "_table",  # per node, ascending true-position neighbors and their lengths
+        "_predicted_rows",  # node -> ascending predicted-position neighbors
+        "_true_xy", "_predicted_xy",  # flat views over the two position arrays
+    )
 
-    def __post_init__(self) -> None:
-        for name, view in (
-            ("true_positions", "_true_xy"),
-            ("predicted_positions", "_predicted_xy"),
-        ):
-            pos = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            if pos.ndim != 2 or pos.shape[1] != 2:
-                raise ValueError(f"{name} must have shape (n, 2), got {pos.shape}")
-            object.__setattr__(self, name, pos)
-            object.__setattr__(self, view, memoryview(pos.reshape(-1)))
+    def __init__(self, time: float, true_positions, predicted_positions, comm_range: float):
+        self.time = time
+        self.comm_range = comm_range
+        self.true_positions, self._true_xy = _flat("true_positions", true_positions)
+        self.predicted_positions, self._predicted_xy = _flat(
+            "predicted_positions", predicted_positions
+        )
         if len(self.true_positions) != len(self.predicted_positions):
             raise ValueError(
                 "true and predicted position lists differ in length: "
                 f"{len(self.true_positions)} vs {len(self.predicted_positions)}"
             )
-        object.__setattr__(self, "n_nodes", len(self.true_positions))
-        if not 0.0 < self.comm_range < math.inf:  # NaN would empty every row
-            raise ValueError(f"comm_range must be finite and > 0, got {self.comm_range!r}")
+        self.n_nodes = len(self.true_positions)
+        if not 0.0 < comm_range < math.inf:  # NaN would empty every row
+            raise ValueError(f"comm_range must be finite and > 0, got {comm_range!r}")
+        self._table = None
+        self._predicted_rows = {}
 
     @classmethod
     def of_fleet(cls, fleet, comm_range: float) -> "ContactSnapshot":
@@ -199,11 +199,9 @@ class ContactSnapshot:
 
     def _link_table(self) -> tuple[list[array], list[array]]:
         """The true-position link table, built on first use."""
-        table = self._table
-        if table is None:
-            table = self._build_table()
-            object.__setattr__(self, "_table", table)
-        return table
+        if self._table is None:
+            self._table = self._build_table()
+        return self._table
 
     def neighbors(self, i: int, use_predicted: bool = False) -> list[int]:
         """All nodes within comm_range of node i (excluding i itself), as a

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+pytestmark = pytest.mark.contract
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 

@@ -21,7 +21,7 @@ from fanetsim.analysis import (
 from fanetsim.cli import main as cli_main
 from fanetsim.geometry import LensParams, ProgressDistribution, expected_progress, lens_area
 from fanetsim.mobility_config import MobilityConfig
-from fanetsim.routing import PathWeight, greedy_next_hop, route_dijkstra
+from fanetsim.routing import PathWeight, SessionStatus, greedy_next_hop, route_dijkstra
 from fanetsim.simharness import (
     Algorithm,
     ExperimentConfig,
@@ -199,9 +199,8 @@ def test_criterion_5_success_corridor(static_sweep):
     for n in NODE_SWEEP:
         r = _cell(static_sweep, n, "success_rate")
         means.append(r.mean)
-        delivered, attempted = static_sweep.session_counts[
-            n, Algorithm.GREEDY_PREDICTIVE.value
-        ]
+        counts = static_sweep.status_counts[n, Algorithm.GREEDY_PREDICTIVE.value]
+        delivered, attempted = counts[SessionStatus.DELIVERED], sum(counts.values())
         w_lo, w_hi = wilson_interval(delivered, attempted, 3.0)
         cells.append(
             f"N={n} {delivered}/{attempted} Wilson [{w_lo:.4f}, {w_hi:.4f}] "

@@ -234,6 +234,7 @@ class TestSuccessProbability:
         assert success_probability(NET, hi) <= success_probability(NET, lo)
 
 
+@pytest.mark.contract
 class TestBoundsReport:
     def test_fields_consistent(self):
         rep = bounds_report(NET, 7_500.0)

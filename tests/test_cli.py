@@ -584,6 +584,7 @@ _TRACE_SHA256 = {
 
 
 class TestTraceCommand:
+    @pytest.mark.contract
     @pytest.mark.parametrize("args", list(_TRACE_SHA256))
     def test_bytes_match_recorded_sha256(self, tmp_path, args):
         out = tmp_path / "trace.csv"

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+pytestmark = pytest.mark.contract
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEED = 0
 

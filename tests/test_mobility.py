@@ -476,6 +476,7 @@ _STILL = dict(
 )
 
 
+@pytest.mark.contract
 class TestFleetMatchesReference:
     """The fleet is the per-node reference, bit for bit."""
 

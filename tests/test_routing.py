@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fanetsim import simharness
 from fanetsim.mobility import Fleet
 from fanetsim.mobility_config import MobilityConfig
 from fanetsim.routing import (
@@ -310,7 +311,7 @@ class TestRouteDijkstra:
         for weight in PathWeight:  # a fresh snapshot and table each
             snap = snap_from(pos, comm_range=r)
             rows, lengths = snap._link_table()
-            object.__setattr__(snap, "_table", (CountedRows(rows), lengths))
+            snap._table = (CountedRows(rows), lengths)
             assert route_dijkstra(snap, s, d, weight)
         assert 0 < expanded[PathWeight.DISTANCE] < expanded[PathWeight.DISTANCE_SQUARED]
 
@@ -335,7 +336,7 @@ class TestRouteDijkstra:
                 snap = snap_from(pos, comm_range=r)
                 snap._link_table()
                 view = CountedView(snap._true_xy)
-                object.__setattr__(snap, "_true_xy", view)
+                snap._true_xy = view
                 path = route_dijkstra(snap, s, d, weight)
                 if weight is PathWeight.DISTANCE_SQUARED:
                     assert not view.nodes
@@ -461,6 +462,17 @@ class TestRecords:
             assert self.outcome(status).delivered == (status is SessionStatus.DELIVERED)
         empty = SessionOutcome(0, 9, 6000.0, (), SessionStatus.STUCK_NO_PROGRESS)
         assert (empty.hop_count, empty.total_distance, empty.total_power) == (0, 0, 0)
+
+    def test_totals_add_in_hop_order(self):
+        # a compensated sum (sum() of floats since Python 3.12) gives 1e16 + 2;
+        # the harness's tally adds in hop order and keeps 1e16
+        hops = tuple(HopRecord(k, k + 1, w, w, float(k)) for k, w in enumerate([1e16, 1.0, 1.0]))
+        out = SessionOutcome(0, 3, 1e16, hops, SessionStatus.DELIVERED)
+        assert out.total_distance == 1e16
+        assert out.total_power == 1e32
+        stats = simharness._AlgStats()
+        stats.add(out)
+        assert (stats.dist_sum, stats.power_total) == (out.total_distance, out.total_power)
 
     def test_session_hops_are_a_tuple_of_hop_records(self):
         pos = [(i * 4_000.0, 0.0) for i in range(6)]

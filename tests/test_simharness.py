@@ -82,8 +82,8 @@ class TestConfigValidation:
             net=replace(cfg.net, n_nodes=10),
             sweep=SweepSpec("mean_speed", (0.0,)),
         )
-        counts = run_experiment(speed).session_counts
-        assert counts[0.0, Algorithm.GREEDY_PREDICTIVE.value][1] == 25
+        counts = run_experiment(speed).status_counts
+        assert sum(counts[0.0, Algorithm.GREEDY_PREDICTIVE.value].values()) == 25
 
     @pytest.mark.parametrize(
         "name, value, kind",
@@ -143,7 +143,7 @@ class TestConfigValidation:
 
     def test_integral_float_node_count_accepted(self):
         cfg = small_config(sweep=SweepSpec("n_nodes", (8.0,)), runs=1)
-        assert run_experiment(cfg).session_counts[8.0, "greedy_predictive"][1] == 5
+        assert sum(run_experiment(cfg).status_counts[8.0, "greedy_predictive"].values()) == 5
 
     def test_runs_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -222,7 +222,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("values", [(10, 10.0), (5.0, 10, 5), np.array([5, 10, 5])])
     def test_repeated_sweep_value_rejected(self, values):
         # equal values would share one cell's key in cell_mean_d,
-        # session_counts and the provenance, while the CSV kept both cells
+        # status_counts and the provenance, while the CSV kept both cells
         with pytest.raises(ValueError, match="sweep value .* appears twice"):
             SweepSpec("n_nodes", values)
 
@@ -258,6 +258,18 @@ class TestDeterminism:
         serial = run_experiment(small_config(workers=1))
         parallel = run_experiment(small_config(workers=3))
         assert serial.to_csv() == parallel.to_csv()
+        # the tallies that cross the pool, beyond the CSV
+        assert serial.status_counts == parallel.status_counts
+        assert serial.delivered_mean_d == parallel.delivered_mean_d
+        assert serial.cell_mean_d == parallel.cell_mean_d
+
+        def without_workers(result):
+            lines = result.provenance().splitlines()
+            kept = [line for line in lines if '"workers": ' not in line]
+            assert len(kept) == len(lines) - 1
+            return kept
+
+        assert without_workers(serial) == without_workers(parallel)
 
     @pytest.fixture
     def opened_pools(self, monkeypatch):
@@ -419,7 +431,8 @@ class TestMetrics:
         res = run_experiment(cfg)
         for value in (8, 12):
             for alg in cfg.algorithms:
-                delivered, attempted = res.session_counts[value, alg.value]
+                counts = res.status_counts[value, alg.value]
+                delivered, attempted = counts[SessionStatus.DELIVERED], sum(counts.values())
                 assert attempted == cfg.runs * cfg.sessions_per_run
                 rate = res.get(value, alg, "success_rate").mean
                 assert delivered / attempted == pytest.approx(rate, rel=1e-12)
@@ -435,7 +448,7 @@ class TestMetrics:
         assert len(lines) == 1 + 2 * 2 * 4
         assert all(len(line.split(",")) == 8 for line in lines)
         text = res.provenance()
-        assert "delivered" not in text and "session_counts" not in text
+        assert "delivered" not in text and "status_counts" not in text
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -464,12 +477,17 @@ class TestMetrics:
             seed=seed,
         )
         res = run_experiment(cfg)
-        assert res.status_counts.keys() == res.session_counts.keys()
-        for key, counts in res.status_counts.items():
-            delivered, attempted = res.session_counts[key]
+        attempted = runs * cfg.sessions_per_run
+        assert set(res.status_counts) == {
+            (speed, alg.value) for speed in speeds for alg in algorithms
+        }
+        for (speed, alg), counts in res.status_counts.items():
             assert list(counts) == list(SessionStatus)
             assert sum(counts.values()) == attempted
-            assert counts[SessionStatus.DELIVERED] == delivered
+            rate = res.get(speed, Algorithm(alg), "success_rate").mean
+            assert counts[SessionStatus.DELIVERED] == pytest.approx(
+                rate * attempted, rel=0, abs=1e-9
+            )
         assert "status" not in res.to_csv() + res.provenance()
 
     def test_bounds_are_the_cell_bounds_report(self):
@@ -587,6 +605,7 @@ def _exact_variance(values: list[float]) -> Fraction:
     return sum((v - mean) ** 2 for v in exact) / (len(exact) - 1)
 
 
+@pytest.mark.contract
 class TestMeanStderr:
     SPREAD_LISTS = st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=300)
 
@@ -872,10 +891,11 @@ class TestStaticSweepMatchesSessionOracle:
                 "hop_cap": [o.status is SessionStatus.HOP_CAP for o in outs],
             }
             # the recorded sessions are the ones the result counts
-            assert sum(classes["delivered"]) == result.session_counts[n, alg][0]
+            counted = result.status_counts[n, alg]
+            assert sum(classes["delivered"]) == counted[SessionStatus.DELIVERED]
             assert (
                 sum(classes["stuck_at_source"]) + sum(classes["stuck_at_relay"])
-                == result.status_counts[n, alg][stuck]
+                == counted[stuck]
             )
             oracle, oracle_hops = static_greedy_sessions(
                 n, cfg.net.area_side, cfg.net.comm_range, cfg.hop_cap(n),

@@ -127,6 +127,7 @@ class TestContactSnapshot:
         assert {a: 1, b: 2}[a] == 1
 
 
+@pytest.mark.contract
 @pytest.mark.usefixtures("scan_path")
 class TestKeptRows:
     """Each neighbor row is built once per (node, position set) and kept;
@@ -227,6 +228,7 @@ class TestKeptRows:
 TABLE_SIZES = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, _SCAN_MAX, _SCAN_MAX + 1)
 
 
+@pytest.mark.contract
 @pytest.mark.usefixtures("scan_path")
 class TestLinkTable:
     """The true-position link table is built whole, by plain floats over
@@ -298,6 +300,7 @@ class TestLinkTable:
                         assert route_dijkstra(by_next_row, s, d, weight) == path
 
 
+@pytest.mark.contract
 class TestScanPaths:
     """Plain floats and numpy blocks give one snapshot the same rows and
     the same length floats; the module constant picks plain floats up to

@@ -13,10 +13,15 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from fanetsim import analysis, geometry, routing, simharness
 from fanetsim.analysis import NetworkParams
 from fanetsim.mobility_config import MobilityConfig
+from fanetsim.routing import SessionStatus
 from fanetsim.simharness import Algorithm, ExperimentConfig, SweepSpec, run_experiment
+
+pytestmark = pytest.mark.contract
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -53,8 +58,11 @@ def test_recorder_wraps_and_restores_the_library():
     assert rec.check_spans() is None
 
     m = rec.layer_metrics()
-    delivered = sum(d for d, _ in result.session_counts.values())
-    attempted = sum(a for _, a in result.session_counts.values())
+    counts = result.status_counts.values()
+    delivered = sum(c[SessionStatus.DELIVERED] for c in counts)
+    attempted = sum(sum(c.values()) for c in counts)
+    cells = len(cfg.sweep.values) * len(cfg.algorithms)
+    assert attempted == cells * cfg.runs * cfg.sessions_per_run
     statuses = ("delivered", "stuck", "hop_cap", "link_broken")
     assert m["routing.sessions.delivered"] == delivered
     assert sum(m[f"routing.sessions.{s}"] for s in statuses) == attempted
@@ -65,6 +73,9 @@ def test_recorder_wraps_and_restores_the_library():
     # method, and hops are judged through the wrapped distance
     assert m["topology.neighbors.calls"] == m["routing.next_hop.calls"]
     assert m["topology.distance.calls"] > 0
+    # snapshots are counted through ContactSnapshot.__init__, which the
+    # tracer patches on the class
+    assert 0 < m["topology.snapshots.used"] <= m["topology.snapshots.recorded"]
 
 
 def test_recorder_counts_every_integrand_evaluation(monkeypatch):

@@ -95,19 +95,30 @@ def extract(tree: str, dest: str) -> None:
         raise SystemExit(f"git archive {tree} exited with {proc.returncode}")
 
 
-def run_once(checkout: str, args) -> dict:
-    """One benchmark run in ``checkout``: its metrics, or an ``error``."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", f"{args.seconds:g}", "--trace", "0"]
+def run_bench(checkout: str, workload: str, seed: int, seconds: float,
+              trace: int) -> tuple[dict, str]:
+    """One ``perfbench/run.py`` run in ``checkout``: the result object of
+    its last line, or an ``error``; and the text of its ``fingerprint:``
+    line, the hash and the verdict on it in parentheses."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", f"{seconds:g}", "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
+    fingerprint = next((ln.removeprefix("fingerprint: ") for ln in lines
+                        if ln.startswith("fingerprint: ")), "")
     if proc.returncode != 0 or not lines:
-        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}"}
+        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}"}, fingerprint
     try:
-        result = json.loads(lines[-1])
+        return json.loads(lines[-1]), fingerprint
     except ValueError:
-        return {"error": f"last line is not JSON: {lines[-1][-300:]!r}"}
-    fingerprint = next((ln for ln in lines if ln.startswith("fingerprint: ")), "")
+        return {"error": f"last line is not JSON: {lines[-1][-300:]!r}"}, fingerprint
+
+
+def run_once(checkout: str, args) -> dict:
+    """One untraced benchmark run in ``checkout``: its metrics, or an ``error``."""
+    result, fingerprint = run_bench(checkout, args.workload, args.seed, args.seconds, 0)
+    if "error" in result:
+        return result
     out = {m: result["metrics"][m]["value"] for m in METRICS}
     if None in out.values():
         return {"error": f"no value for {[m for m, v in out.items() if v is None]}"}
