@@ -277,12 +277,10 @@ def _fmt(v) -> str:
 
 
 def record_trace(fleet: Fleet, comm_range: float, n_steps: int) -> NetworkTrace:
-    """Trace of n_steps steps from the fleet's current state.  The trace
-    owns the fleet and steps it only when a cursor first reads a step."""
-    from .topology import ContactSnapshot, NetworkTrace
-    return NetworkTrace(
-        (ContactSnapshot.of_fleet(fleet, comm_range),), fleet, n_steps
-    )
+    """The trace constructor call, which perfbench's tracer wraps: n_steps
+    steps from the fleet's current state, each recorded on first read."""
+    from .topology import NetworkTrace
+    return NetworkTrace(fleet, comm_range, n_steps)
 
 
 def _cell_params(

@@ -25,8 +25,8 @@ stores ``n_nodes`` once, since the hop loop reads it at every decision,
 and fills its row caches in place.  Snapshots compare and hash by
 identity, so they can key dicts and fill sets.
 
-A trace holds one snapshot per step, all with the same node count and
-range.  A ``TraceCursor`` looks its step's snapshot up once, when it is
+A trace is built from its fleet alone and records each step on first
+read.  A ``TraceCursor`` looks its step's snapshot up once, when it is
 built and at each ``advance``, and ``snapshot()`` returns the kept one.
 """
 
@@ -81,16 +81,6 @@ class ContactSnapshot:
             raise ValueError(f"comm_range must be finite and > 0, got {comm_range!r}")
         self._table = None
         self._predicted_rows = {}
-
-    @classmethod
-    def of_fleet(cls, fleet, comm_range: float) -> "ContactSnapshot":
-        """The fleet's current true positions and its predicted ones."""
-        return cls(
-            time=fleet.time,
-            true_positions=fleet.true_positions(),
-            predicted_positions=fleet.predicted_positions(),
-            comm_range=comm_range,
-        )
 
     def _check_index(self, i: int) -> None:
         """Reject a node index that is not an integer (a bool or 1.0 would
@@ -217,33 +207,29 @@ class ContactSnapshot:
 
 
 class NetworkTrace:
-    """One contact snapshot per time step, for steps 0..n_steps.
+    """One contact snapshot of ``fleet`` per time step, for steps 0..n_steps.
 
-    Built from snapshots alone, the trace is complete.  Given the fleet of
-    its last snapshot and an integer ``n_steps >= 0`` (a bool, a fraction
-    or a negative count raises ``ValueError``), it records each missing
-    snapshot when first read, in index order and one ``Fleet.advance``
-    before each, so snapshot k follows exactly k advances however cursors
+    Built from its fleet alone, the trace checks ``n_steps`` (a bool, a
+    fraction or a negative count raises ``ValueError``) before it reads
+    the fleet, then records snapshot 0.  It records each later snapshot
+    when first read, in index order and one ``Fleet.advance`` before
+    each, so snapshot k follows exactly k advances however cursors
     interleave.  Snapshots are kept, so every cursor replays the same
     objects.
     """
 
-    def __init__(self, snapshots, fleet=None, n_steps: int = 0):
-        if not snapshots:
-            raise ValueError("trace must contain at least one snapshot")
-        self.snapshots = list(snapshots)
-        first = self.snapshots[0]
-        for k, snap in enumerate(self.snapshots):
-            if snap.n_nodes != first.n_nodes or snap.comm_range != first.comm_range:
-                raise ValueError(
-                    f"snapshot {k} has {snap.n_nodes} nodes and comm_range "
-                    f"{snap.comm_range!r}, unlike snapshot 0"
-                )
-        if fleet is None:
-            self.n_steps = len(self.snapshots) - 1
-        else:
-            self.n_steps = _check_count("n_steps", n_steps, 0)
+    def __init__(self, fleet, comm_range: float, n_steps: int):
+        self.n_steps = _check_count("n_steps", n_steps, 0)
         self._fleet = fleet
+        self._comm_range = comm_range
+        self.snapshots = [self._record()]
+
+    def _record(self) -> ContactSnapshot:
+        """The fleet's current true positions and its predicted ones."""
+        fleet = self._fleet
+        return ContactSnapshot(
+            fleet.time, fleet.true_positions(), fleet.predicted_positions(), self._comm_range
+        )
 
     def snapshot(self, k: int) -> ContactSnapshot:
         if not 0 <= k <= self.n_steps:
@@ -251,7 +237,7 @@ class NetworkTrace:
         snaps = self.snapshots
         while len(snaps) <= k:
             self._fleet.advance()
-            snaps.append(ContactSnapshot.of_fleet(self._fleet, snaps[0].comm_range))
+            snaps.append(self._record())
         return snaps[k]
 
     def cursor(self) -> "TraceCursor":

@@ -283,8 +283,9 @@ def static_greedy_sessions(
     (lowest index on ties), for at most ``max_hops`` hops.
 
     Returns the counts of sessions ``delivered``, ``stuck_at_source`` (no
-    first hop), ``stuck_at_relay`` (stuck after one or more hops) and
-    ``hop_cap`` (still en route), and the hop counts of the delivered
+    first hop), ``stuck_at_relay`` (stuck after one or more hops), split
+    into ``stuck_at_hop_1`` and ``stuck_at_hop_2_plus`` by the hops taken,
+    and ``hop_cap`` (still en route), and the hop counts of the delivered
     sessions in session order.  Every session of one hop round steps at
     once on dense distance arrays; nothing here comes from the library.
     """
@@ -316,6 +317,8 @@ def static_greedy_sessions(
         "delivered": int(delivered.sum()),
         "stuck_at_source": int((stuck & (hops == 0)).sum()),
         "stuck_at_relay": int((stuck & (hops > 0)).sum()),
+        "stuck_at_hop_1": int((stuck & (hops == 1)).sum()),
+        "stuck_at_hop_2_plus": int((stuck & (hops > 1)).sum()),
         "hop_cap": int(en_route.sum()),
     }
     return counts, hops[delivered]

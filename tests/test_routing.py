@@ -23,6 +23,7 @@ from fanetsim.simharness import record_trace
 from fanetsim.topology import _SCAN_MAX, ContactSnapshot, NetworkTrace
 
 from oracles import bellman_ford_path, bellman_ford_weight, brute_greedy_next_hop
+from scripted_fleet import ScriptedFleet
 
 R = 5_000.0
 STATIC = MobilityConfig(mean_speed=0.0, prediction_noise_var=0.0)
@@ -35,11 +36,7 @@ def snap_from(positions, comm_range=R):
 
 def static_trace(positions, n_steps=50, comm_range=R):
     pos = np.asarray(positions, dtype=float)
-    snaps = tuple(
-        ContactSnapshot(float(k), pos, pos.copy(), comm_range)
-        for k in range(n_steps + 1)
-    )
-    return NetworkTrace(snaps)
+    return NetworkTrace(ScriptedFleet(lambda k: pos), comm_range, n_steps)
 
 
 class TestGreedyNextHop:

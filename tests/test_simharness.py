@@ -855,7 +855,9 @@ class TestRecordTrace:
 class TestStaticSweepMatchesSessionOracle:
     """The harness's static sweep, session by session, against whole
     sessions of an independent oracle that shares none of its code: the
-    four outcome shares and the mean hops per delivered session."""
+    four outcome shares, the relay-stuck share split into sessions stuck
+    after one hop and after two or more, and the mean hops per delivered
+    session."""
 
     ORACLE_SESSIONS = 20_000  # per node count, one per deployment
 
@@ -888,6 +890,8 @@ class TestStaticSweepMatchesSessionOracle:
                 "delivered": [o.status is SessionStatus.DELIVERED for o in outs],
                 "stuck_at_source": [o.status is stuck and not o.hops for o in outs],
                 "stuck_at_relay": [o.status is stuck and bool(o.hops) for o in outs],
+                "stuck_at_hop_1": [o.status is stuck and len(o.hops) == 1 for o in outs],
+                "stuck_at_hop_2_plus": [o.status is stuck and len(o.hops) > 1 for o in outs],
                 "hop_cap": [o.status is SessionStatus.HOP_CAP for o in outs],
             }
             # the recorded sessions are the ones the result counts

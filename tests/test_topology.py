@@ -12,6 +12,7 @@ from fanetsim.simharness import record_trace
 from fanetsim.topology import _BLOCK, _SCAN_MAX, ContactSnapshot, NetworkTrace
 
 from oracles import brute_force_neighbors
+from scripted_fleet import ScriptedFleet
 
 
 def snap_from(positions, comm_range=4_000.0, predicted=None):
@@ -444,29 +445,8 @@ class TestLinks:
 
 class TestTrace:
     def make_trace(self, n_steps=3):
-        snaps = []
-        for k in range(n_steps + 1):
-            pos = np.array([(float(k), 0.0), (5.0, 5.0)])
-            snaps.append(ContactSnapshot(float(k), pos, pos.copy(), 100.0))
-        return NetworkTrace(tuple(snaps))
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError):
-            NetworkTrace(())
-
-    @pytest.mark.parametrize(
-        "second",
-        [
-            ContactSnapshot(1.0, np.zeros((3, 2)), np.zeros((3, 2)), 100.0),
-            ContactSnapshot(1.0, np.zeros((2, 2)), np.zeros((2, 2)), 50.0),
-        ],
-    )
-    def test_mixed_snapshots_rejected(self, second):
-        first = ContactSnapshot(0.0, np.zeros((2, 2)), np.zeros((2, 2)), 100.0)
-        with pytest.raises(ValueError, match="snapshot 1 has"):
-            NetworkTrace((first, second))
-        with pytest.raises(ValueError, match="snapshot 2 has"):
-            NetworkTrace((first, first, second, first))
+        fleet = ScriptedFleet(lambda k: [(float(k), 0.0), (5.0, 5.0)])
+        return NetworkTrace(fleet, 100.0, n_steps)
 
     def test_cursor_walks_snapshots(self):
         trace = self.make_trace(3)
@@ -489,7 +469,7 @@ class TestTrace:
         with pytest.raises(IndexError):
             trace.snapshot(-1)
         fleet = Fleet(MobilityConfig(), 2, 0)
-        lazy = NetworkTrace((ContactSnapshot.of_fleet(fleet, 100.0),), fleet, 3)
+        lazy = NetworkTrace(fleet, 100.0, 3)
         lazy.snapshot(3)
         with pytest.raises(IndexError):
             lazy.snapshot(-1)
@@ -500,7 +480,7 @@ class TestTrace:
         # hold copies, of noise-free predictions as of noisy ones
         cfg = MobilityConfig(mean_wait=0.5, prediction_noise_var=noise_var)
         fleet = Fleet(cfg, 12, 7)
-        snap = ContactSnapshot.of_fleet(fleet, 1_000.0)
+        snap = NetworkTrace(fleet, 1_000.0, 0).snapshot(0)
         true, predicted = snap.true_positions.copy(), snap.predicted_positions.copy()
         for _ in range(20):
             fleet.advance()
@@ -512,11 +492,22 @@ class TestTrace:
     def test_n_steps_must_be_a_count(self, bad):
         # each used to pass and fail only at the first read
         fleet = Fleet(MobilityConfig(), 2, 0)
-        snap = ContactSnapshot.of_fleet(fleet, 5_000.0)
         with pytest.raises(ValueError, match="n_steps must be"):
-            NetworkTrace((snap,), fleet, bad)
+            NetworkTrace(fleet, 5_000.0, bad)
         with pytest.raises(ValueError, match="n_steps must be"):
             record_trace(fleet, 5_000.0, bad)
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, True])
+    def test_rejected_trace_leaves_its_fleet_untouched(self, bad):
+        # n_steps is checked before snapshot 0 reads the fleet, whose
+        # prediction draws noise and keeps the next step's displacement
+        cfg = MobilityConfig()
+        assert cfg.prediction_noise_var > 0.0
+        fleet = Fleet(cfg, 5, 0)
+        with pytest.raises(ValueError, match="n_steps must be"):
+            record_trace(fleet, 5_000.0, bad)
+        fresh = Fleet(cfg, 5, 0)
+        assert np.array_equal(fleet.predicted_positions(), fresh.predicted_positions())
 
     def test_numpy_integer_n_steps_accepted(self):
         trace = record_trace(Fleet(MobilityConfig(), 2, 0), 5_000.0, np.int64(3))

@@ -74,8 +74,11 @@ def test_recorder_wraps_and_restores_the_library():
     assert m["topology.neighbors.calls"] == m["routing.next_hop.calls"]
     assert m["topology.distance.calls"] > 0
     # snapshots are counted through ContactSnapshot.__init__, which the
-    # tracer patches on the class
-    assert 0 < m["topology.snapshots.used"] <= m["topology.snapshots.recorded"]
+    # tracer patches on the class: every recorded snapshot is read, each
+    # costs one prediction, and snapshot k follows exactly k advances
+    recorded = m["topology.snapshots.recorded"]
+    assert 0 < m["topology.snapshots.used"] == recorded == m["mobility.predict.calls"]
+    assert m["mobility.advance.calls"] == recorded - m["mobility.fleet_init.calls"]
 
 
 def test_recorder_counts_every_integrand_evaluation(monkeypatch):
